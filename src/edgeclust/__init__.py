@@ -4,16 +4,16 @@ Pipeline: estimate intra/inter-cluster edge densities from labeled pairs,
 reduce maximum-likelihood partitioning to weighted correlation clustering on
 the signed log-odds graph, and solve it with LP rounding.
 """
-from .core import (PairIndex, Partition, SampleSet, ScoreReport, nmi, score,
-                   same_cluster, validate_partition)
+from .core import (Partition, SampleSet, ScoreReport, co_membership, nmi,
+                   score, validate_partition)
 from .edge_features import (EdgeFeatureSet, LabeledPairSet, PcaModel,
-                            pca_fit, pca_inverse, pca_transform,
-                            sample_labeled_pairs, similarity)
+                            edge_vectors, pca_fit, pca_transform,
+                            sample_labeled_pairs)
 from .density import (DensityModel, SignedWeightedGraph, build_signed_graph,
-                      kde_fit, kde_logpdf, log_odds)
+                      kde_fit)
 from .corrclust import (FractionalMetric, SolveCertificate, brute_force_optimum,
-                        c1_constant, disagreement_cost, kwik_cluster, lp_relax,
-                        round_regions, solve)
+                        c1_constant, certify, disagreement_cost, kwik_cluster,
+                        lp_relax, round_regions, solve)
 from .analysis import (ExpectedDisReport, LikelihoodReport, empirical_dis,
                        expected_dis, log_likelihood)
 from .baselines import SpectralConfig, kmeans, spectral

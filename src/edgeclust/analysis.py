@@ -4,11 +4,11 @@ the restricted-KL expected-disagreement estimator."""
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import Partition
+from .core import Partition, co_membership
 from .density import SignedWeightedGraph
 from .edge_features import EdgeFeatureSet
 from .errors import DataError
@@ -24,11 +24,7 @@ class LikelihoodReport:
     disagreement_term: float
 
     def to_dict(self) -> dict:
-        return {
-            "log_likelihood_theta": self.log_likelihood_theta,
-            "log_likelihood_g0": self.log_likelihood_g0,
-            "disagreement_term": self.disagreement_term,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -40,13 +36,7 @@ class ExpectedDisReport:
     sample_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "n0": self.n0,
-            "n1": self.n1,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "sample_count": self.sample_count,
-        }
+        return asdict(self)
 
 
 def log_likelihood(p: Partition, features: EdgeFeatureSet, p1, p0) -> LikelihoodReport:
@@ -60,11 +50,9 @@ def log_likelihood(p: Partition, features: EdgeFeatureSet, p1, p0) -> Likelihood
     """
     if len(features) == 0:
         raise DataError("no pairs to evaluate")
-    if int(features.pairs.max()) >= p.n:
-        raise DataError("features reference nodes outside the partition")
+    theta = co_membership(p, features.pairs)
     l1 = p1.logpdf_many(features.vectors)
     l0 = p0.logpdf_many(features.vectors)
-    theta = p.labels[features.pairs[:, 0]] == p.labels[features.pairs[:, 1]]
     ll_theta = float(np.sum(np.where(theta, l1, l0)))
     ll_g0 = float(np.sum(np.maximum(l1, l0)))
     r = l1 - l0

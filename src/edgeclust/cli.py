@@ -1,6 +1,7 @@
 """Command-line surface. Each subcommand reads and writes the documented
 file formats so the stages can be scripted independently; ``pipeline`` runs
-them end to end in one process.
+them end to end in one process. The stage subcommands call the same stage
+functions as ``pipeline``.
 
 Exit codes: 0 success, 2 bad config, 3 data error, 4 solver non-convergence.
 """
@@ -15,28 +16,38 @@ import numpy as np
 from . import corrclust
 from .baselines import SpectralConfig, kmeans, spectral
 from .core import SampleSet, score, validate_partition
-from .datagen import (SyntheticSpec, gen_synthetic, load_csv,
-                      load_labeled_pairs, save_csv, save_labeled_pairs)
-from .density import (DensityModel, build_signed_graph, kde_fit,
-                      read_graph_tsv, write_graph_tsv)
-from .edge_features import (all_pairs, build_edge_features, canonical_kind,
-                            edge_vectors, pca_fit, pca_transform,
-                            _sample_pair_indices)
+from .datagen import (SYNTHETIC_KINDS, load_csv, load_labeled_pairs, save_csv,
+                      save_labeled_pairs)
+from .density import build_signed_graph, read_graph_tsv, write_graph_tsv
+from .edge_features import (all_pairs, build_edge_features, edge_vectors,
+                            sample_pairs)
 from .errors import ConfigError, DataError, EdgeclustError, SolverError
-from .pipeline import RunConfig, run_pipeline
+from .pipeline import (ALGORITHMS, RunConfig, cluster_graph, fit_model,
+                       load_model, run_pipeline, save_model, synthetic_data)
 from .plotting import render_svg
+
+_KINDS = click.Choice(SYNTHETIC_KINDS)
+_SIMILARITIES = click.Choice(["absdiff", "euclid"])
+_ALGORITHMS = click.Choice(ALGORITHMS)
 
 
 def _parse_pca(value):
+    """--pca as a variance target; RunConfig and pca_fit check its range."""
     if value is None or value == "off":
         return None
     try:
-        out = float(value)
+        return float(value)
     except ValueError:
         raise ConfigError("--pca expects a float in (0,1] or 'off'") from None
-    if not (0.0 < out <= 1.0):
-        raise ConfigError("--pca variance target must be in (0, 1]")
-    return out
+
+
+def _emit(text, out):
+    """Write text plus a newline to the file ``out``, or echo it."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        click.echo(text)
 
 
 def _write_labels(labels, path):
@@ -61,8 +72,7 @@ def cli():
 
 
 @cli.command()
-@click.option("--kind", type=click.Choice(["crossbones", "grid", "blobs", "circles"]),
-              required=True)
+@click.option("--kind", type=_KINDS, required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--k", type=int, default=None)
 @click.option("--noise", type=float, default=0.03, show_default=True)
@@ -70,11 +80,8 @@ def cli():
 @click.option("--out", type=click.Path(), required=True)
 def gen(kind, n, k, noise, seed, out):
     """Generate a labeled synthetic dataset as CSV."""
-    if k is None:
-        k = 6 if kind == "grid" else 2
-    spec = SyntheticSpec(kind=kind, n=n, k=k, noise=noise)
-    s = gen_synthetic(spec, np.random.default_rng(seed))
-    save_csv(s, out)
+    save_csv(synthetic_data(kind, n, k, noise, np.random.default_rng(seed)),
+             out)
 
 
 @cli.command()
@@ -87,58 +94,25 @@ def pairs(data, m, seed, out):
     s = load_csv(data, has_labels=True)
     if m < 1:
         raise ConfigError("--pairs must be >= 1")
-    rng = np.random.default_rng(seed)
-    idx = _sample_pair_indices(s.n, m, rng)
-    same = s.labels[idx[:, 0]] == s.labels[idx[:, 1]]
+    idx, same = sample_pairs(s, m, np.random.default_rng(seed))
     save_labeled_pairs(idx, same, out)
 
 
 @cli.command()
 @click.option("--data", type=click.Path(exists=True), required=True)
 @click.option("--pairs-file", type=click.Path(exists=True), required=True)
-@click.option("--similarity", type=click.Choice(["absdiff", "euclid"]),
-              default="absdiff", show_default=True)
+@click.option("--similarity", type=_SIMILARITIES, default="absdiff",
+              show_default=True)
 @click.option("--pca", default="off", show_default=True,
               help="variance target in (0,1], or 'off'")
 @click.option("--out", type=click.Path(), required=True)
 def fit(data, pairs_file, similarity, pca, out):
     """Fit the P1/P0 kernel density models from labeled pairs."""
-    kind = canonical_kind(similarity)
+    target = _parse_pca(pca)
     s = load_csv(data, has_labels=True)
     idx, same = load_labeled_pairs(pairs_file)
-    if idx.max() >= s.n:
-        raise DataError("pair indices exceed the dataset size")
-    vecs = edge_vectors(s.features, idx, kind)
-    sv, dv = vecs[same], vecs[~same]
-    if sv.shape[0] < 2 or dv.shape[0] < 2:
-        raise DataError("need >= 2 same-cluster and >= 2 cross-cluster pairs")
-    target = _parse_pca(pca)
-    payload = {"similarity": np.array(kind)}
-    if target is not None:
-        model = pca_fit(np.vstack([sv, dv]), target)
-        sv = pca_transform(model, sv)
-        dv = pca_transform(model, dv)
-        payload.update(pca_mean=model.mean, pca_components=model.components,
-                       pca_variance=model.explained_variance)
-    p1 = kde_fit(sv)
-    p0 = kde_fit(dv)
-    payload.update(p1_points=p1.training_points, p1_bw=p1.bandwidths,
-                   p0_points=p0.training_points, p0_bw=p0.bandwidths)
-    np.savez(out, **payload)
-
-
-def _load_model(path):
-    with np.load(path) as data:
-        p1 = DensityModel(training_points=data["p1_points"], bandwidths=data["p1_bw"])
-        p0 = DensityModel(training_points=data["p0_points"], bandwidths=data["p0_bw"])
-        kind = str(data["similarity"])
-        pca = None
-        if "pca_mean" in data:
-            from .edge_features import PcaModel
-            pca = PcaModel(mean=data["pca_mean"],
-                           components=data["pca_components"],
-                           explained_variance=data["pca_variance"])
-        return p1, p0, kind, pca
+    vecs = edge_vectors(s.features, idx, similarity)
+    save_model(fit_model(vecs[same], vecs[~same], similarity, target), out)
 
 
 @cli.command()
@@ -150,20 +124,15 @@ def _load_model(path):
 def graph(data, model, sparsify, has_labels, out):
     """Build the signed log-odds graph over every pair of samples in DATA."""
     s = load_csv(data, has_labels=has_labels)
-    p1, p0, kind, pca = _load_model(model)
-    feats = build_edge_features(s, all_pairs(s.n), kind)
-    if pca is not None:
-        from .edge_features import EdgeFeatureSet
-        feats = EdgeFeatureSet(pairs=feats.pairs,
-                               vectors=pca_transform(pca, feats.vectors))
-    g = build_signed_graph(feats, p1, p0, sparsify_below=sparsify, n=s.n)
+    m = load_model(model)
+    feats = m.project(build_edge_features(s, all_pairs(s.n), m.similarity))
+    g = build_signed_graph(feats, m.p1, m.p0, sparsify_below=sparsify, n=s.n)
     write_graph_tsv(g, out)
 
 
 @cli.command()
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
-@click.option("--algo", type=click.Choice(["lp", "pivot", "oracle"]),
-              default="lp", show_default=True)
+@click.option("--algo", type=_ALGORITHMS, default="lp", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--n", type=int, default=None, help="node count override")
 @click.option("--out", type=click.Path(), required=True)
@@ -171,17 +140,10 @@ def graph(data, model, sparsify, has_labels, out):
 def cluster(graph_path, algo, seed, n, out, certificate):
     """Cluster a signed graph and write one label per node."""
     g = read_graph_tsv(graph_path, n=n)
-    if algo == "lp":
-        part, cert = corrclust.solve(g)
-        if certificate:
-            with open(certificate, "w", encoding="utf-8") as fh:
-                json.dump(cert.to_dict(), fh, sort_keys=True, indent=2)
-    elif algo == "pivot":
-        part = corrclust.kwik_cluster(g, np.random.default_rng(seed))
-    else:
-        if g.n > 12:
-            raise ConfigError("oracle algorithm is capped at n = 12")
-        part, _ = corrclust.brute_force_optimum(g)
+    part, cert = cluster_graph(g, algo, np.random.default_rng(seed))
+    if certificate and cert is not None:
+        with open(certificate, "w", encoding="utf-8") as fh:
+            json.dump(cert.to_dict(), fh, sort_keys=True, indent=2)
     _write_labels(part.labels, out)
 
 
@@ -216,12 +178,7 @@ def eval_cmd(pred, truth, out):
     else:
         truth_labels = _read_labels(truth)
     report = score(predicted, validate_partition(truth_labels))
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
+    _emit(json.dumps(report.to_dict(), sort_keys=True, indent=2), out)
 
 
 @cli.command()
@@ -233,18 +190,8 @@ def certify(graph_path, labels, n, out):
     """LP lower bound and disagreement cost of a given labeling."""
     g = read_graph_tsv(graph_path, n=n)
     part = validate_partition(_read_labels(labels))
-    metric = corrclust.lp_relax(g)
-    cost = corrclust.disagreement_cost(g, part)
-    c1 = corrclust.c1_constant(g.n)
-    cert = corrclust.SolveCertificate(
-        lp_lower_bound=metric.objective, rounded_cost=cost, c1=c1,
-        bound_rhs=c1 * float(np.log(g.n + 1)) * metric.objective, n=g.n)
-    text = json.dumps(cert.to_dict(), sort_keys=True, indent=2)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
+    _emit(json.dumps(corrclust.certify(g, part).to_dict(), sort_keys=True,
+                     indent=2), out)
 
 
 @cli.command()
@@ -263,18 +210,16 @@ def plot(data, labels, out):
 
 
 @cli.command()
-@click.option("--kind", type=click.Choice(["crossbones", "grid", "blobs", "circles"]),
-              default=None)
+@click.option("--kind", type=_KINDS, default=None)
 @click.option("--data", type=click.Path(exists=True), default=None)
 @click.option("--edge-spec", type=click.Path(exists=True), default=None,
               help="JSON file with sizes, p1, p0 density descriptors")
 @click.option("--seed", type=int, required=True)
-@click.option("--similarity", type=click.Choice(["absdiff", "euclid"]),
-              default="absdiff", show_default=True)
+@click.option("--similarity", type=_SIMILARITIES, default="absdiff",
+              show_default=True)
 @click.option("--sparsify", type=float, default=0.0, show_default=True)
 @click.option("--pca", default="off", show_default=True)
-@click.option("--algo", type=click.Choice(["lp", "pivot", "oracle"]),
-              default="lp", show_default=True)
+@click.option("--algo", type=_ALGORITHMS, default="lp", show_default=True)
 @click.option("--pairs", type=int, default=5000, show_default=True)
 @click.option("--holdout", type=int, default=100, show_default=True)
 @click.option("--train-pool", type=int, default=200, show_default=True)
@@ -301,13 +246,7 @@ def pipeline(kind, data, edge_spec, seed, similarity, sparsify, pca, algo,
                     pairs=pairs, holdout=holdout, train_pool=train_pool,
                     k=k, noise=noise, baselines=baselines, knn=knn,
                     edge_spec=edge_spec_dict)
-    report = run_pipeline(cfg)
-    text = report.to_json()
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
+    _emit(run_pipeline(cfg).to_json(), out)
 
 
 def main():

@@ -6,19 +6,12 @@ immutable after construction and all operations are pure functions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from dataclasses import asdict, dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import DataError
-
-
-class PairIndex(NamedTuple):
-    """Undirected node pair with i < j (no self-loops)."""
-
-    i: int
-    j: int
 
 
 @dataclass(frozen=True)
@@ -29,7 +22,10 @@ class SampleSet:
     labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
+        try:
+            feats = np.asarray(self.features, dtype=float)
+        except ValueError:
+            raise DataError("features must be a nonempty 2-D matrix") from None
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise DataError("features must be a nonempty 2-D matrix")
         if not np.all(np.isfinite(feats)):
@@ -84,13 +80,7 @@ class ScoreReport:
     k_predicted: int
 
     def to_dict(self) -> dict:
-        return {
-            "nmi": self.nmi,
-            "pairwise_precision": self.pairwise_precision,
-            "pairwise_recall": self.pairwise_recall,
-            "pairwise_f1": self.pairwise_f1,
-            "k_predicted": self.k_predicted,
-        }
+        return asdict(self)
 
 
 def validate_partition(labels) -> Partition:
@@ -106,11 +96,21 @@ def validate_partition(labels) -> Partition:
     return Partition(labels=dense, k=len(order))
 
 
-def same_cluster(p: Partition, e: PairIndex) -> int:
-    """Pairwise co-membership indicator: 1 iff both endpoints share a label."""
-    if not (0 <= e.i < e.j < p.n):
-        raise DataError(f"pair ({e.i},{e.j}) out of range for n={p.n}")
-    return int(p.labels[e.i] == p.labels[e.j])
+def check_pairs(pairs, n: int) -> np.ndarray:
+    """Node pairs as an (m, 2) int array; raises DataError unless every row
+    satisfies 0 <= i < j < n."""
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    if len(pairs) and (np.any(pairs[:, 0] >= pairs[:, 1])
+                       or pairs[:, 0].min() < 0 or pairs[:, 1].max() >= n):
+        raise DataError(f"pair indices must satisfy 0 <= i < j < n = {n}")
+    return pairs
+
+
+def co_membership(p: Partition, pairs) -> np.ndarray:
+    """Pairwise co-membership bits: True where both endpoints of a pair
+    share a label."""
+    pairs = check_pairs(pairs, p.n)
+    return p.labels[pairs[:, 0]] == p.labels[pairs[:, 1]]
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -147,9 +147,9 @@ def score(predicted: Partition, truth: Partition) -> ScoreReport:
     """
     if predicted.n != truth.n:
         raise DataError("partitions must cover the same nodes")
-    iu = np.triu_indices(predicted.n, k=1)
-    pred_same = predicted.labels[iu[0]] == predicted.labels[iu[1]]
-    true_same = truth.labels[iu[0]] == truth.labels[iu[1]]
+    pairs = np.column_stack(np.triu_indices(predicted.n, k=1))
+    pred_same = co_membership(predicted, pairs)
+    true_same = co_membership(truth, pairs)
     tp = float(np.sum(pred_same & true_same))
     pred_pos = float(np.sum(pred_same))
     true_pos = float(np.sum(true_same))

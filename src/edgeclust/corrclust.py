@@ -10,23 +10,30 @@ exact Bell-enumeration oracle are provided alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .core import Partition, validate_partition
+from .core import Partition, co_membership, validate_partition
 from .density import SignedWeightedGraph
 from .errors import DataError, SolverError
 
 TRIANGLE_TOL = 1e-6
+ORACLE_MAX_N = 12  # Bell(12) ~ 4.2e6 partitions for brute_force_optimum
 _SNAP = 1e-9
 
 
 def c1_constant(n: int) -> float:
     """Approximation constant 2 + 1/ln(n+1); natural log throughout."""
     return 2.0 + 1.0 / math.log(n + 1)
+
+
+def approximation_factor(n: int) -> float:
+    """c1*ln(n+1): region growing keeps the rounded cost within this factor
+    of the LP lower bound."""
+    return c1_constant(n) * math.log(n + 1)
 
 
 @dataclass(frozen=True)
@@ -58,13 +65,7 @@ class SolveCertificate:
     n: int
 
     def to_dict(self) -> dict:
-        return {
-            "lp_lower_bound": self.lp_lower_bound,
-            "rounded_cost": self.rounded_cost,
-            "c1": self.c1,
-            "bound_rhs": self.bound_rhs,
-            "n": self.n,
-        }
+        return asdict(self)
 
 
 def disagreement_cost(g: SignedWeightedGraph, p: Partition) -> float:
@@ -72,9 +73,7 @@ def disagreement_cost(g: SignedWeightedGraph, p: Partition) -> float:
     internal; dropped edges contribute nothing."""
     if p.n != g.n:
         raise DataError(f"partition covers {p.n} nodes, graph has {g.n}")
-    if g.edge_count == 0:
-        return 0.0
-    same = p.labels[g.pairs[:, 0]] == p.labels[g.pairs[:, 1]]
+    same = co_membership(p, g.pairs)
     bad = np.where(g.signs > 0, ~same, same)
     return float(g.costs[bad].sum())
 
@@ -186,7 +185,7 @@ def round_regions(m: FractionalMetric, g: SignedWeightedGraph) -> Partition:
     a = m.size
     local = {int(v): t for t, v in enumerate(m.nodes)}
     pi, pj, pc = _positive_adjacency(g, local, a)
-    factor = c1_constant(n) * math.log(n + 1)
+    factor = approximation_factor(n)
     f_seed = m.objective / n
     x = m.x
 
@@ -287,8 +286,8 @@ def _set_partitions(n: int):
 def brute_force_optimum(g: SignedWeightedGraph):
     """Exact minimizer of disagreement_cost by enumerating all set
     partitions; first optimum in enumeration order wins ties."""
-    if g.n > 12:
-        raise DataError("exact enumeration is capped at n = 12")
+    if g.n > ORACLE_MAX_N:
+        raise DataError(f"exact enumeration is capped at n = {ORACLE_MAX_N}")
     pi, pj = g.pairs[:, 0], g.pairs[:, 1]
     pos = g.signs > 0
     best_cost = math.inf
@@ -302,23 +301,26 @@ def brute_force_optimum(g: SignedWeightedGraph):
     return validate_partition(best + 1), best_cost
 
 
+def certify(g: SignedWeightedGraph, p: Partition,
+            metric: FractionalMetric = None) -> SolveCertificate:
+    """Certificate for partition p: the LP lower bound, the disagreement cost
+    of p, and the rounding guarantee c1*ln(n+1) times the bound. A graph with
+    no kept edges has the zero bound; ``metric`` reuses a solved LP."""
+    cost = disagreement_cost(g, p)
+    if metric is None and g.edge_count:
+        metric = lp_relax(g)
+    bound = metric.objective if metric is not None else 0.0
+    return SolveCertificate(lp_lower_bound=bound, rounded_cost=cost,
+                            c1=c1_constant(g.n),
+                            bound_rhs=approximation_factor(g.n) * bound, n=g.n)
+
+
 def solve(g: SignedWeightedGraph):
     """LP relaxation plus region-growing rounding, with the likelihood-gap
     certificate."""
-    c1 = c1_constant(g.n)
     if g.edge_count == 0:
         part = validate_partition(np.arange(1, g.n + 1))
-        cert = SolveCertificate(lp_lower_bound=0.0, rounded_cost=0.0, c1=c1,
-                                bound_rhs=0.0, n=g.n)
-        return part, cert
+        return part, certify(g, part)
     metric = lp_relax(g)
     part = round_regions(metric, g)
-    rounded = disagreement_cost(g, part)
-    cert = SolveCertificate(
-        lp_lower_bound=metric.objective,
-        rounded_cost=rounded,
-        c1=c1,
-        bound_rhs=c1 * math.log(g.n + 1) * metric.objective,
-        n=g.n,
-    )
-    return part, cert
+    return part, certify(g, part, metric)

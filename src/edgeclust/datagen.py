@@ -13,6 +13,9 @@ from .edge_features import EdgeFeatureSet, all_pairs
 from .errors import ConfigError, DataError
 
 SYNTHETIC_KINDS = ("crossbones", "grid", "blobs", "circles")
+SEGMENT_LENGTH = 1.0    # crossbones and grid segments
+CROSS_ANGLE_DEG = 90.0  # angle between the two crossbones segments
+GRID_SPACING = 0.5      # lattice step of the grid segment centers
 
 
 @dataclass(frozen=True)
@@ -21,9 +24,6 @@ class SyntheticSpec:
     n: int
     k: int = 2
     noise: float = 0.03
-    segment_length: float = 1.0
-    cross_angle_deg: float = 90.0
-    spacing: float = 0.5
 
     def __post_init__(self):
         if self.kind not in SYNTHETIC_KINDS:
@@ -79,25 +79,25 @@ def gen_synthetic(spec: SyntheticSpec, rng: np.random.Generator) -> SampleSet:
     if spec.kind == "crossbones":
         if spec.k != 2:
             raise ConfigError("crossbones has exactly 2 clusters")
-        half = math.radians(spec.cross_angle_deg) / 2.0
+        half = math.radians(CROSS_ANGLE_DEG) / 2.0
         dirs = [np.array([math.cos(half), math.sin(half)]),
                 np.array([math.cos(half), -math.sin(half)])]
         chunks = [
             _segment_points(counts[c], np.zeros(2), dirs[c],
-                            spec.segment_length, spec.noise, rng)
+                            SEGMENT_LENGTH, spec.noise, rng)
             for c in range(2)
         ]
     elif spec.kind == "grid":
-        # alternating horizontal/vertical segments on a lattice; with spacing
-        # below the segment length, neighbors cross each other
+        # alternating horizontal/vertical segments on a lattice; with a
+        # lattice step below the segment length, neighbors cross each other
         cols = int(math.ceil(math.sqrt(spec.k)))
         chunks = []
         for c in range(spec.k):
             row, col = divmod(c, cols)
-            center = np.array([col * spec.spacing, row * spec.spacing])
+            center = np.array([col * GRID_SPACING, row * GRID_SPACING])
             direction = np.array([1.0, 0.0]) if c % 2 == 0 else np.array([0.0, 1.0])
             chunks.append(_segment_points(counts[c], center, direction,
-                                          spec.segment_length, spec.noise, rng))
+                                          SEGMENT_LENGTH, spec.noise, rng))
     elif spec.kind == "blobs":
         centers = np.stack([
             [math.cos(2 * math.pi * c / spec.k) * 4.0,
@@ -179,8 +179,9 @@ def load_csv(path, has_labels: bool = False) -> SampleSet:
             raise DataError(f"{path}: need at least one feature column "
                             "besides the label")
         raw_labels = data[:, -1]
-        if not np.all(raw_labels == np.round(raw_labels)):
-            raise DataError(f"{path}: label column must be integer-valued")
+        if not np.all(np.isfinite(raw_labels)
+                      & (raw_labels == np.round(raw_labels))):
+            raise DataError(f"{path}: label column must hold finite integers")
         dense = validate_partition(raw_labels.astype(int)).labels
         return SampleSet(features=data[:, :-1], labels=dense)
     return SampleSet(features=data)

@@ -49,9 +49,6 @@ class GaussianDensity:
         return (-0.5 * np.sum(z * z, axis=1)
                 - np.sum(np.log(self.sigma * np.sqrt(2 * np.pi))))
 
-    def logpdf(self, x) -> float:
-        return float(self.logpdf_many(np.atleast_2d(x))[0])
-
 
 @dataclass(frozen=True)
 class UniformBoxDensity:
@@ -81,9 +78,6 @@ class UniformBoxDensity:
         inside = np.all((x >= self.low) & (x <= self.high), axis=1)
         level = -float(np.sum(np.log(self.high - self.low)))
         return np.where(inside, level, LOG_FLOOR)
-
-    def logpdf(self, x) -> float:
-        return float(self.logpdf_many(np.atleast_2d(x))[0])
 
 
 @dataclass(frozen=True)
@@ -124,9 +118,6 @@ class MixtureDensity:
         logs = logs + np.log(self.weights)
         top = logs.max(axis=1)
         return top + np.log(np.sum(np.exp(logs - top[:, None]), axis=1))
-
-    def logpdf(self, x) -> float:
-        return float(self.logpdf_many(np.atleast_2d(x))[0])
 
 
 def parse_density(spec: dict):

@@ -4,14 +4,14 @@ signed graph the clustering step consumes."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
 
 import numpy as np
 from scipy.special import logsumexp
 
+from .core import check_pairs
 from .densities import LOG_FLOOR
 from .edge_features import EdgeFeatureSet
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 LOG_ODDS_CLAMP = 50.0
 _QUERY_CHUNK = 256
@@ -23,7 +23,6 @@ class DensityModel:
 
     training_points: np.ndarray  # (m, d)
     bandwidths: np.ndarray       # (d,), strictly positive
-    log_floor: float = LOG_FLOOR
 
     def __post_init__(self):
         pts = np.asarray(self.training_points, dtype=float)
@@ -57,10 +56,7 @@ class DensityModel:
             z = (chunk[:, None, :] - self.training_points[None, :, :]) / self.bandwidths
             expo = -0.5 * np.einsum("qmd,qmd->qm", z, z)
             out[start:start + _QUERY_CHUNK] = logsumexp(expo, axis=1) + const
-        return np.maximum(out, self.log_floor)
-
-    def logpdf(self, x) -> float:
-        return float(self.logpdf_many(np.atleast_2d(x))[0])
+        return np.maximum(out, LOG_FLOOR)
 
 
 def kde_fit(vectors: np.ndarray, bandwidths=None) -> DensityModel:
@@ -80,18 +76,6 @@ def kde_fit(vectors: np.ndarray, bandwidths=None) -> DensityModel:
     h = sigma * m ** (-1.0 / (d + 4))
     h = np.maximum(h, 1e-6 * (1.0 + np.abs(sigma)))
     return DensityModel(training_points=vectors, bandwidths=h)
-
-
-def kde_logpdf(model: DensityModel, x) -> float:
-    return model.logpdf(x)
-
-
-def log_odds(p1, p0, e) -> Tuple[int, float]:
-    """Sign and absolute value of log(P1(e)/P0(e)), clamped to +-50."""
-    r = p1.logpdf(e) - p0.logpdf(e)
-    r = float(np.clip(r, -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP))
-    sign = 0 if r == 0.0 else (1 if r > 0 else -1)
-    return sign, abs(r)
 
 
 @dataclass(frozen=True)
@@ -116,11 +100,7 @@ class SignedWeightedGraph:
             raise DataError("kept edge signs must be +1 or -1")
         if np.any(~np.isfinite(costs)) or np.any(costs < 0):
             raise DataError("costs must be finite and nonnegative")
-        every = np.vstack([pairs, dropped]) if len(dropped) else pairs
-        if len(every) and (np.any(every[:, 0] >= every[:, 1])
-                           or np.any(every < 0)
-                           or np.any(every >= self.n)):
-            raise DataError("pair indices must satisfy 0 <= i < j < n")
+        every = check_pairs(np.vstack([pairs, dropped]), self.n)
         if len(every) != len(np.unique(every, axis=0)):
             raise DataError("a pair appears more than once")
         object.__setattr__(self, "pairs", pairs)
@@ -132,20 +112,15 @@ class SignedWeightedGraph:
     def edge_count(self) -> int:
         return self.pairs.shape[0]
 
-    def edges(self):
-        from .core import PairIndex
-        for (i, j), s, c in zip(self.pairs, self.signs, self.costs):
-            yield PairIndex(int(i), int(j)), int(s), float(c)
-
 
 def build_signed_graph(features: EdgeFeatureSet, p1, p0,
                        sparsify_below: float = 0.0,
                        n: int = None) -> SignedWeightedGraph:
-    """Label every pair by the sign of its log-odds and weight it by the
-    absolute log-odds; pairs at or below the sparsification threshold
-    (including exact ties P1 = P0) are dropped."""
+    """Label every pair by the sign of its log-odds log(P1(e)/P0(e)), clamped
+    to +-50, and weight it by the absolute log-odds; pairs at or below the
+    sparsification threshold (including exact ties P1 = P0) are dropped."""
     if sparsify_below < 0:
-        raise DataError("sparsify threshold must be >= 0")
+        raise ConfigError("sparsify threshold must be >= 0")
     if n is None:
         n = int(features.pairs.max()) + 1 if len(features) else 0
     r = p1.logpdf_many(features.vectors) - p0.logpdf_many(features.vectors)

@@ -1,4 +1,4 @@
-"""Edge feature construction: similarity functions over node pairs, labeled
+"""Edge feature construction: vectorized similarity over node pairs, labeled
 pair sampling for training, and PCA reduction of edge features."""
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SampleSet
+from .core import SampleSet, check_pairs
 from .errors import ConfigError, DataError
 
 SIMILARITY_KINDS = ("abs_diff", "euclidean")
@@ -71,28 +71,16 @@ class PcaModel:
     explained_variance: np.ndarray  # (r,), nonincreasing
 
 
-def similarity(u, v, kind: str = "abs_diff") -> np.ndarray:
-    """Symmetric edge feature for a node pair.
+def edge_vectors(features: np.ndarray, pairs: np.ndarray,
+                 kind: str = "abs_diff") -> np.ndarray:
+    """Symmetric edge feature for each pair (i, j) of rows of ``features``,
+    with 0 <= i < j < n.
 
     abs_diff: elementwise absolute difference (d = d_node).
     euclidean: 1-dimensional L2 distance.
     """
     kind = canonical_kind(kind)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
-        raise DataError("node vectors must be 1-D with equal dimensions")
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise DataError("node vectors must be finite")
-    if kind == "abs_diff":
-        return np.abs(u - v)
-    return np.array([np.linalg.norm(u - v)])
-
-
-def edge_vectors(features: np.ndarray, pairs: np.ndarray,
-                 kind: str = "abs_diff") -> np.ndarray:
-    """Vectorized similarity over many pairs of rows of ``features``."""
-    kind = canonical_kind(kind)
+    pairs = check_pairs(pairs, features.shape[0])
     diff = features[pairs[:, 0]] - features[pairs[:, 1]]
     if kind == "abs_diff":
         return np.abs(diff)
@@ -137,10 +125,10 @@ def _sample_pair_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray
     return np.array(out, dtype=int)
 
 
-def sample_labeled_pairs(s: SampleSet, m: int, rng: np.random.Generator,
-                         kind: str = "abs_diff") -> LabeledPairSet:
-    """Draw m pairs uniformly without replacement, compute edge vectors, and
-    split them by the ground-truth co-membership indicator."""
+def sample_pairs(s: SampleSet, m: int, rng: np.random.Generator):
+    """Draw m pairs uniformly without replacement (all of them if m exceeds
+    C(n,2)); returns the (m, 2) pairs and their ground-truth co-membership
+    bits."""
     if s.labels is None:
         raise DataError("sample set has no labels; cannot label pairs")
     if m < 1:
@@ -154,8 +142,15 @@ def sample_labeled_pairs(s: SampleSet, m: int, rng: np.random.Generator,
         raise DataError("labeling is degenerate: need at least one "
                         "same-cluster and one cross-cluster pair")
     pairs = _sample_pair_indices(s.n, m, rng)
+    return pairs, s.labels[pairs[:, 0]] == s.labels[pairs[:, 1]]
+
+
+def sample_labeled_pairs(s: SampleSet, m: int, rng: np.random.Generator,
+                         kind: str = "abs_diff") -> LabeledPairSet:
+    """Draw m pairs with sample_pairs, compute edge vectors, and split them
+    by the ground-truth co-membership indicator."""
+    pairs, same = sample_pairs(s, m, rng)
     vecs = edge_vectors(s.features, pairs, kind)
-    same = s.labels[pairs[:, 0]] == s.labels[pairs[:, 1]]
     return LabeledPairSet(same_vectors=vecs[same], diff_vectors=vecs[~same])
 
 
@@ -195,7 +190,3 @@ def pca_transform(model: PcaModel, vectors: np.ndarray) -> np.ndarray:
     if vectors.shape[1] != model.mean.size:
         raise DataError("dimension mismatch in pca_transform")
     return (vectors - model.mean) @ model.components
-
-
-def pca_inverse(model: PcaModel, projected: np.ndarray) -> np.ndarray:
-    return np.asarray(projected, dtype=float) @ model.components.T + model.mean

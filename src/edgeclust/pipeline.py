@@ -1,5 +1,8 @@
 """End-to-end pipeline: sample training pairs, fit edge densities, build the
-signed log-odds graph over hold-out samples, cluster, and score."""
+signed log-odds graph over hold-out samples, cluster, and score.
+
+The stage functions here (synthetic data, model fit, save/load and
+projection, clustering) are also what the CLI subcommands run."""
 from __future__ import annotations
 
 import json
@@ -11,18 +14,18 @@ import numpy as np
 
 from . import corrclust
 from .baselines import SpectralConfig, kmeans, spectral
-from .core import SampleSet, score, validate_partition
-from .datagen import EdgeLevelSpec, SyntheticSpec, gen_edge_level, gen_synthetic, load_csv
-from .density import build_signed_graph, kde_fit
-from .edge_features import (EdgeFeatureSet, all_pairs, build_edge_features,
-                            canonical_kind, pca_fit, pca_transform,
-                            sample_labeled_pairs)
+from .core import SampleSet, co_membership, score, validate_partition
+from .datagen import (SYNTHETIC_KINDS, EdgeLevelSpec, SyntheticSpec,
+                      gen_edge_level, gen_synthetic, load_csv)
+from .density import DensityModel, build_signed_graph, kde_fit
+from .edge_features import (EdgeFeatureSet, PcaModel, all_pairs,
+                            build_edge_features, canonical_kind, pca_fit,
+                            pca_transform, sample_labeled_pairs)
 from .analysis import log_likelihood
 from .densities import parse_density
 from .errors import ConfigError, DataError, EdgeclustError
 
 ALGORITHMS = ("lp", "pivot", "oracle")
-ORACLE_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -50,8 +53,6 @@ class RunConfig:
         object.__setattr__(self, "similarity", canonical_kind(self.similarity))
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}")
-        if self.sparsify < 0:
-            raise ConfigError("sparsify threshold must be >= 0")
         if self.pca is not None and not (0.0 < self.pca <= 1.0):
             raise ConfigError("pca variance target must be in (0, 1]")
         if self.pairs < 1:
@@ -71,16 +72,9 @@ class ResultsReport:
     timing: dict                       # stage -> wall seconds
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
-            "config": self.config,
-            "labels": self.labels,
-            "k_predicted": self.k_predicted,
-            "scores": self.scores,
-            "certificate": self.certificate,
-            "likelihood": self.likelihood,
-        }
-        if include_timing:
-            out["timing"] = self.timing
+        out = asdict(self)
+        if not include_timing:
+            del out["timing"]
         return out
 
     def to_json(self, include_timing: bool = True) -> str:
@@ -97,12 +91,99 @@ def _stage(name, timing, fn):
     return result
 
 
+def synthetic_data(kind: str, n: int, k: Optional[int], noise: float,
+                   rng: np.random.Generator) -> SampleSet:
+    """Labeled synthetic samples; k defaults to 6 on grid and 2 elsewhere."""
+    if k is None:
+        k = 6 if kind == "grid" else 2
+    return gen_synthetic(SyntheticSpec(kind=kind, n=n, k=k, noise=noise), rng)
+
+
+@dataclass(frozen=True)
+class EdgeModel:
+    """Fitted P1 (same-cluster) and P0 (cross-cluster) edge densities, the
+    similarity kind they were fitted on, and the optional PCA applied to
+    edge vectors before either density."""
+
+    similarity: str
+    p1: DensityModel
+    p0: DensityModel
+    pca: Optional[PcaModel] = None
+
+    def project(self, features: EdgeFeatureSet) -> EdgeFeatureSet:
+        """Edge features in the space the densities were fitted in."""
+        if self.pca is None:
+            return features
+        return EdgeFeatureSet(pairs=features.pairs,
+                              vectors=pca_transform(self.pca, features.vectors))
+
+
+def fit_model(same_vecs: np.ndarray, diff_vecs: np.ndarray, similarity: str,
+              pca: Optional[float] = None) -> EdgeModel:
+    """KDE fits of P1 and P0 on labeled training edge vectors, after a PCA
+    with variance target ``pca`` fitted on both sides together."""
+    if same_vecs.shape[0] < 2 or diff_vecs.shape[0] < 2:
+        raise DataError("need >= 2 same-cluster and >= 2 cross-cluster "
+                        "training pairs; increase the pair budget")
+    pca_model = None
+    if pca is not None:
+        pca_model = pca_fit(np.vstack([same_vecs, diff_vecs]), pca)
+        same_vecs = pca_transform(pca_model, same_vecs)
+        diff_vecs = pca_transform(pca_model, diff_vecs)
+    return EdgeModel(similarity=canonical_kind(similarity),
+                     p1=kde_fit(same_vecs), p0=kde_fit(diff_vecs),
+                     pca=pca_model)
+
+
+def save_model(model: EdgeModel, path) -> None:
+    """Write the model as .npz with keys similarity, pca_mean,
+    pca_components, pca_variance (only with PCA), p1_points, p1_bw,
+    p0_points and p0_bw."""
+    payload = {"similarity": np.array(model.similarity)}
+    if model.pca is not None:
+        payload.update(pca_mean=model.pca.mean,
+                       pca_components=model.pca.components,
+                       pca_variance=model.pca.explained_variance)
+    payload.update(p1_points=model.p1.training_points, p1_bw=model.p1.bandwidths,
+                   p0_points=model.p0.training_points, p0_bw=model.p0.bandwidths)
+    np.savez(path, **payload)
+
+
+def load_model(path) -> EdgeModel:
+    with np.load(path) as data:
+        pca = None
+        if "pca_mean" in data:
+            pca = PcaModel(mean=data["pca_mean"],
+                           components=data["pca_components"],
+                           explained_variance=data["pca_variance"])
+        return EdgeModel(
+            similarity=str(data["similarity"]),
+            p1=DensityModel(training_points=data["p1_points"],
+                            bandwidths=data["p1_bw"]),
+            p0=DensityModel(training_points=data["p0_points"],
+                            bandwidths=data["p0_bw"]),
+            pca=pca)
+
+
+def cluster_graph(graph, algo: str, rng: np.random.Generator):
+    """Partition the signed graph with one of ALGORITHMS; returns the
+    partition and, for "lp" only, its certificate (None otherwise)."""
+    if algo == "lp":
+        return corrclust.solve(graph)
+    if algo == "pivot":
+        return corrclust.kwik_cluster(graph, rng), None
+    if graph.n > corrclust.ORACLE_MAX_N:
+        raise ConfigError("oracle algorithm is capped at "
+                          f"n = {corrclust.ORACLE_MAX_N}")
+    part, _ = corrclust.brute_force_optimum(graph)
+    return part, None
+
+
 def _prepare_node_level(cfg: RunConfig, rng: np.random.Generator):
-    if cfg.dataset in ("crossbones", "grid", "blobs", "circles"):
-        k = cfg.k if cfg.k is not None else (2 if cfg.dataset != "grid" else 6)
-        spec = SyntheticSpec(kind=cfg.dataset, n=cfg.train_pool + cfg.holdout,
-                             k=k, noise=cfg.noise)
-        full = gen_synthetic(spec, rng)
+    synthetic = cfg.dataset in SYNTHETIC_KINDS
+    if synthetic:
+        full = synthetic_data(cfg.dataset, cfg.train_pool + cfg.holdout,
+                              cfg.k, cfg.noise, rng)
     else:
         full = load_csv(cfg.dataset, has_labels=cfg.csv_has_labels)
         if full.labels is None:
@@ -112,13 +193,35 @@ def _prepare_node_level(cfg: RunConfig, rng: np.random.Generator):
     perm = rng.permutation(full.n)
     hold_idx = np.sort(perm[:cfg.holdout])
     train_idx = np.sort(perm[cfg.holdout:])
-    if cfg.dataset not in ("crossbones", "grid", "blobs", "circles"):
+    if not synthetic:
         train_idx = train_idx[:max(cfg.train_pool, 2)] if cfg.train_pool else train_idx
     train = SampleSet(features=full.features[train_idx],
                       labels=validate_partition(full.labels[train_idx]).labels)
     holdout = SampleSet(features=full.features[hold_idx],
                         labels=validate_partition(full.labels[hold_idx]).labels)
     return train, holdout
+
+
+def _edge_level_pairs(features: EdgeFeatureSet, truth, m: int,
+                      rng: np.random.Generator):
+    """Training edge vectors: a uniform subsample of m generated edges,
+    split by the planted partition."""
+    total = len(features)
+    chosen = np.sort(rng.choice(total, size=min(m, total), replace=False))
+    same = co_membership(truth, features.pairs[chosen])
+    return features.vectors[chosen][same], features.vectors[chosen][~same]
+
+
+def _scores(cfg: RunConfig, partition, truth, holdout_set,
+            rng: np.random.Generator) -> dict:
+    scores = {"structured": score(partition, truth).to_dict()}
+    if cfg.baselines and holdout_set is not None:
+        k = cfg.k if cfg.k is not None else truth.k
+        scores["kmeans"] = score(kmeans(holdout_set, k, rng), truth).to_dict()
+        scores["spectral"] = score(
+            spectral(holdout_set, SpectralConfig(k=k, knn=cfg.knn), rng),
+            truth).to_dict()
+    return scores
 
 
 def run_pipeline(cfg: RunConfig) -> ResultsReport:
@@ -134,83 +237,38 @@ def run_pipeline(cfg: RunConfig) -> ResultsReport:
                              p0=parse_density(cfg.edge_spec["p0"]))
         features, truth = _stage("data", timing, lambda: gen_edge_level(spec, rng))
         holdout_set = None
-
-        def fit_pairs():
-            total = len(features)
-            m = min(cfg.pairs, total)
-            chosen = np.sort(rng.choice(total, size=m, replace=False))
-            same = (truth.labels[features.pairs[chosen, 0]]
-                    == truth.labels[features.pairs[chosen, 1]])
-            return features.vectors[chosen][same], features.vectors[chosen][~same]
-
-        same_vecs, diff_vecs = _stage("pairs", timing, fit_pairs)
+        same_vecs, diff_vecs = _stage(
+            "pairs", timing,
+            lambda: _edge_level_pairs(features, truth, cfg.pairs, rng))
     else:
         train, holdout_set = _stage("data", timing,
                                     lambda: _prepare_node_level(cfg, rng))
         truth = validate_partition(holdout_set.labels)
+        training = _stage(
+            "pairs", timing,
+            lambda: sample_labeled_pairs(train, cfg.pairs, rng, cfg.similarity))
+        same_vecs, diff_vecs = training.same_vectors, training.diff_vectors
+        features = _stage(
+            "edges", timing,
+            lambda: build_edge_features(holdout_set, all_pairs(holdout_set.n),
+                                        cfg.similarity))
 
-        def sample_training():
-            lp = sample_labeled_pairs(train, cfg.pairs, rng, cfg.similarity)
-            return lp.same_vectors, lp.diff_vectors
-
-        same_vecs, diff_vecs = _stage("pairs", timing, sample_training)
-
-        def holdout_features():
-            return build_edge_features(holdout_set, all_pairs(holdout_set.n),
-                                       cfg.similarity)
-
-        features = _stage("edges", timing, holdout_features)
-
-    def fit_models():
-        sv, dv = same_vecs, diff_vecs
-        if sv.shape[0] < 2 or dv.shape[0] < 2:
-            raise DataError("training pairs left fewer than 2 vectors on one "
-                            "side; increase the pair budget")
-        pca_model = None
-        feats = features
-        if cfg.pca is not None:
-            pca_model = pca_fit(np.vstack([sv, dv]), cfg.pca)
-            sv = pca_transform(pca_model, sv)
-            dv = pca_transform(pca_model, dv)
-            feats = EdgeFeatureSet(pairs=features.pairs,
-                                   vectors=pca_transform(pca_model, features.vectors))
-        return kde_fit(sv), kde_fit(dv), feats
-
-    p1, p0, eval_features = _stage("fit", timing, fit_models)
+    model = _stage("fit", timing,
+                   lambda: fit_model(same_vecs, diff_vecs, cfg.similarity,
+                                     cfg.pca))
+    features = model.project(features)
 
     graph = _stage("graph", timing,
-                   lambda: build_signed_graph(eval_features, p1, p0,
+                   lambda: build_signed_graph(features, model.p1, model.p0,
                                               sparsify_below=cfg.sparsify,
                                               n=truth.n))
-
-    def cluster():
-        if cfg.algo == "lp":
-            return corrclust.solve(graph)
-        if cfg.algo == "pivot":
-            return corrclust.kwik_cluster(graph, rng), None
-        if graph.n > ORACLE_MAX_N:
-            raise ConfigError(f"oracle algorithm is capped at n = {ORACLE_MAX_N}")
-        part, _ = corrclust.brute_force_optimum(graph)
-        return part, None
-
-    partition, certificate = _stage("solve", timing, cluster)
-
-    scores = {}
-
-    def evaluate():
-        scores["structured"] = score(partition, truth).to_dict()
-        if cfg.baselines and holdout_set is not None:
-            k = cfg.k if cfg.k is not None else truth.k
-            scores["kmeans"] = score(kmeans(holdout_set, k, rng), truth).to_dict()
-            cfg_spec = SpectralConfig(k=k, knn=cfg.knn)
-            scores["spectral"] = score(spectral(holdout_set, cfg_spec, rng),
-                                       truth).to_dict()
-
-    _stage("score", timing, evaluate)
-
+    partition, certificate = _stage(
+        "solve", timing, lambda: cluster_graph(graph, cfg.algo, rng))
+    scores = _stage("score", timing,
+                    lambda: _scores(cfg, partition, truth, holdout_set, rng))
     likelihood = _stage(
         "likelihood", timing,
-        lambda: log_likelihood(partition, eval_features, p1, p0).to_dict())
+        lambda: log_likelihood(partition, features, model.p1, model.p0).to_dict())
 
     report = ResultsReport(
         config=asdict(cfg),

@@ -40,7 +40,7 @@ def random_graph(n, rng, missing_frac=0.0):
 class StepDensity:
     """Test stub: piecewise-constant 1-D density given as log-pdf breakpoints.
 
-    logpdf(x) = levels[t] for edges[t] <= x < edges[t+1], floor outside.
+    logpdf_many(x) = levels[t] for edges[t] <= x < edges[t+1], floor outside.
     """
 
     def __init__(self, edges, levels, floor=-46.0517018598809136804):
@@ -59,9 +59,6 @@ class StepDensity:
             mask = (x >= self.edges[t]) & (x < self.edges[t + 1])
             out[mask] = self.levels[t]
         return out
-
-    def logpdf(self, x):
-        return float(self.logpdf_many(np.atleast_1d(x))[0])
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from edgeclust.densities import GaussianDensity, UniformBoxDensity
 from edgeclust.density import build_signed_graph, kde_fit
 from edgeclust.edge_features import EdgeFeatureSet, all_pairs
 from edgeclust.errors import ConfigError, DataError
+from edgeclust.utils import worker_count
 
 
 def _kde_instance(seed, n=5):
@@ -153,6 +154,12 @@ class TestExpectedDis:
                                rng=np.random.default_rng(5))
             results.append((rep.estimate, rep.std_error))
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+    def test_bad_thread_count_rejected(self, monkeypatch, threads):
+        monkeypatch.setenv("EDGECLUST_THREADS", threads)
+        with pytest.raises(ConfigError, match="EDGECLUST_THREADS"):
+            worker_count()
 
     def test_report_serialization(self, rng):
         p = GaussianDensity(mean=[0.0], sigma=[1.0])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeclust.core import (PairIndex, Partition, nmi, same_cluster, score,
+from edgeclust.core import (Partition, co_membership, nmi, score,
                             validate_partition)
 from edgeclust.errors import DataError
 
@@ -47,33 +47,36 @@ class TestValidatePartition:
 class TestSameCluster:
     def test_together(self):
         p = validate_partition([1, 1, 2])
-        assert same_cluster(p, PairIndex(0, 1)) == 1
+        assert co_membership(p, [[0, 1]])[0] == 1
 
     def test_apart(self):
         p = validate_partition([1, 1, 2])
-        assert same_cluster(p, PairIndex(0, 2)) == 0
+        assert co_membership(p, [[0, 2]])[0] == 0
 
     def test_self_pair_rejected(self):
         p = validate_partition([1])
         with pytest.raises(DataError):
-            same_cluster(p, PairIndex(0, 0))
+            co_membership(p, [[0, 0]])
 
     def test_out_of_range_rejected(self):
         p = validate_partition([1, 1])
         with pytest.raises(DataError):
-            same_cluster(p, PairIndex(0, 5))
+            co_membership(p, [[0, 5]])
 
     @given(labels_arrays.filter(lambda a: a.size >= 3))
     @settings(max_examples=30)
     def test_transitive(self, labels):
         p = validate_partition(labels)
         n = p.n
+        iu = np.triu_indices(n, k=1)
+        together = np.zeros((n, n), dtype=int)
+        together[iu] = co_membership(p, np.column_stack(iu))
         for i in range(n):
             for j in range(i + 1, n):
                 for l in range(j + 1, n):
-                    tij = same_cluster(p, PairIndex(i, j))
-                    tjl = same_cluster(p, PairIndex(j, l))
-                    til = same_cluster(p, PairIndex(i, l))
+                    tij = together[i, j]
+                    tjl = together[j, l]
+                    til = together[i, l]
                     if tij and tjl:
                         assert til == 1
 

@@ -112,7 +112,8 @@ class TestOracleSandwich:
         g = random_graph(6, rng)
         lam = 3.7
         scaled = make_graph(6, [(int(i), int(j), int(s), float(c * lam))
-                                for (i, j), s, c in g.edges()])
+                                for (i, j), s, c in zip(g.pairs, g.signs,
+                                                        g.costs)])
         m1, m2 = lp_relax(g), lp_relax(scaled)
         assert m2.objective == pytest.approx(lam * m1.objective, rel=1e-6)
         p1, o1 = brute_force_optimum(g)

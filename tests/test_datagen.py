@@ -106,6 +106,13 @@ class TestCsv:
         with pytest.raises(DataError, match="column 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("label", ["inf", "-inf", "nan"])
+    def test_non_finite_label_rejected(self, tmp_path, label):
+        path = tmp_path / "d.csv"
+        path.write_text(f"1.0,2.0,1\n1.0,1.0,{label}\n")
+        with pytest.raises(DataError, match="label"):
+            load_csv(path, has_labels=True)
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("")

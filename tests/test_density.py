@@ -8,12 +8,26 @@ from hypothesis import strategies as st
 
 from conftest import StepDensity, make_graph
 from edgeclust.datagen import EdgeLevelSpec, gen_edge_level
-from edgeclust.densities import UniformBoxDensity
+from edgeclust.densities import LOG_FLOOR, UniformBoxDensity
 from edgeclust.density import (DensityModel, LOG_ODDS_CLAMP,
-                               build_signed_graph, kde_fit, kde_logpdf,
-                               log_odds, read_graph_tsv, write_graph_tsv)
+                               build_signed_graph, kde_fit, read_graph_tsv,
+                               write_graph_tsv)
 from edgeclust.edge_features import EdgeFeatureSet
 from edgeclust.errors import DataError
+
+
+def log_odds(p1, p0, xs):
+    """Per-point (signs, costs) of the clamped log-odds, read off the signed
+    graph over pairs (0, t+1); a pair dropped at threshold 0 is an exact tie
+    and reads as sign 0, cost 0."""
+    xs = np.asarray(xs, dtype=float).reshape(len(xs), -1)
+    pairs = np.column_stack([np.zeros(len(xs), dtype=int),
+                             np.arange(1, len(xs) + 1)])
+    g = build_signed_graph(EdgeFeatureSet(pairs=pairs, vectors=xs), p1, p0)
+    signs, costs = np.zeros(len(xs), dtype=int), np.zeros(len(xs))
+    signs[g.pairs[:, 1] - 1] = g.signs
+    costs[g.pairs[:, 1] - 1] = g.costs
+    return signs, costs
 
 
 class TestKdeFit:
@@ -27,7 +41,7 @@ class TestKdeFit:
         rows = np.column_stack([np.arange(10.0), np.full(10, 3.0)])
         model = kde_fit(rows)
         assert model.bandwidths[1] > 0
-        assert np.isfinite(model.logpdf(np.array([0.0, 3.0])))
+        assert np.isfinite(model.logpdf_many(np.array([0.0, 3.0]))[0])
 
     def test_single_point_rejected(self):
         with pytest.raises(DataError):
@@ -35,33 +49,33 @@ class TestKdeFit:
 
     def test_two_point_model_evaluable(self):
         model = kde_fit(np.array([[0.0], [1.0]]))
-        val = kde_logpdf(model, np.array([0.0]))
+        val = model.logpdf_many(np.array([0.0]))[0]
         assert np.isfinite(val)
-        assert val >= model.log_floor
+        assert val >= LOG_FLOOR
 
 
 class TestKdeLogpdf:
     def test_single_kernel_closed_form(self):
         model = DensityModel(training_points=np.array([[0.0]]),
                              bandwidths=np.array([1.0]))
-        out = kde_logpdf(model, np.array([0.0]))
+        out = model.logpdf_many(np.array([0.0]))[0]
         assert out == pytest.approx(math.log(1.0 / math.sqrt(2 * math.pi)))
 
     def test_far_tail_clamped(self):
         model = DensityModel(training_points=np.array([[0.0]]),
                              bandwidths=np.array([1.0]))
-        assert kde_logpdf(model, np.array([1e6])) == model.log_floor
+        assert model.logpdf_many(np.array([1e6]))[0] == LOG_FLOOR
 
     def test_mixture_symmetry(self):
         model = kde_fit(np.array([[-2.0], [2.0]]))
-        for x in (0.3, 1.7, 5.0):
-            assert kde_logpdf(model, np.array([x])) == pytest.approx(
-                kde_logpdf(model, np.array([-x])))
+        xs = np.array([[0.3], [1.7], [5.0]])
+        for pos, neg in zip(model.logpdf_many(xs), model.logpdf_many(-xs)):
+            assert pos == pytest.approx(neg)
 
     def test_dimension_mismatch(self):
         model = kde_fit(np.zeros((3, 2)) + np.arange(3)[:, None])
         with pytest.raises(DataError):
-            kde_logpdf(model, np.array([1.0]))
+            model.logpdf_many(np.array([1.0]))
 
     def test_never_nan_or_neg_inf(self, rng):
         model = kde_fit(rng.normal(size=(20, 2)))
@@ -75,26 +89,26 @@ class TestLogOdds:
     def test_ratio_two(self):
         p1 = UniformBoxDensity(low=[0.0], high=[5.0])    # pdf 0.2
         p0 = UniformBoxDensity(low=[0.0], high=[10.0])   # pdf 0.1
-        sign, cost = log_odds(p1, p0, np.array([1.0]))
+        (sign,), (cost,) = log_odds(p1, p0, [1.0])
         assert sign == 1
         assert cost == pytest.approx(math.log(2.0))
 
     def test_tie_gives_zero(self):
         p = UniformBoxDensity(low=[0.0], high=[2.0])
-        sign, cost = log_odds(p, p, np.array([1.0]))
+        (sign,), (cost,) = log_odds(p, p, [1.0])
         assert (sign, cost) == (0, 0.0)
 
     def test_kde_midpoint_near_zero(self):
         rng = np.random.default_rng(2)
         p1 = kde_fit(rng.normal(0.0, 1.0, size=(10000, 1)))
         p0 = kde_fit(rng.normal(2.0, 1.0, size=(10000, 1)))
-        _, cost = log_odds(p1, p0, np.array([1.0]))
+        _, (cost,) = log_odds(p1, p0, [1.0])
         assert cost < 0.15
 
     def test_clamped_at_fifty(self):
         sharp = UniformBoxDensity(low=[0.0], high=[1e-30])
         broad = UniformBoxDensity(low=[-1.0], high=[1.0])
-        sign, cost = log_odds(sharp, broad, np.array([1e-31]))
+        (sign,), (cost,) = log_odds(sharp, broad, [1e-31])
         assert sign == 1
         assert cost == LOG_ODDS_CLAMP
 
@@ -103,8 +117,8 @@ class TestLogOdds:
     def test_antisymmetric_in_densities(self, x):
         p1 = StepDensity([-5, 0, 5], [-1.0, -2.0])
         p0 = StepDensity([-5, 0, 5], [-2.5, -0.5])
-        s_a, c_a = log_odds(p1, p0, np.array([x]))
-        s_b, c_b = log_odds(p0, p1, np.array([x]))
+        (s_a,), (c_a,) = log_odds(p1, p0, [x])
+        (s_b,), (c_b,) = log_odds(p0, p1, [x])
         assert s_a == -s_b
         assert c_a == pytest.approx(c_b)
         assert c_a >= 0
@@ -149,7 +163,7 @@ class TestBuildSignedGraph:
         spec = EdgeLevelSpec(sizes=[4, 4, 4], p1=p1, p0=p0)
         feats, truth = gen_edge_level(spec, rng)
         g = build_signed_graph(feats, p1, p0)
-        for (i, j), sign, _ in g.edges():
+        for (i, j), sign in zip(g.pairs, g.signs):
             same = truth.labels[i] == truth.labels[j]
             assert (sign > 0) == same
 

@@ -1,4 +1,4 @@
-"""Similarity functions, labeled-pair sampling, and PCA."""
+"""Edge vectors, labeled-pair sampling, and PCA."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,13 +6,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from edgeclust.core import SampleSet
-from edgeclust.edge_features import (all_pairs, canonical_kind, pca_fit,
-                                     pca_inverse, pca_transform,
-                                     sample_labeled_pairs, similarity)
+from edgeclust.edge_features import (all_pairs, build_edge_features,
+                                     canonical_kind, pca_fit, pca_transform,
+                                     sample_labeled_pairs)
 from edgeclust.errors import ConfigError, DataError
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
+
+
+def similarity(u, v, kind):
+    """Edge vector of the single pair (0, 1) over node rows u and v."""
+    s = SampleSet(features=[u, v])
+    return build_edge_features(s, all_pairs(2), kind).vectors[0]
 
 
 def vec_pairs(d):
@@ -114,7 +120,7 @@ class TestPca:
         rows = rng.normal(size=(50, 6))
         model = pca_fit(rows, 1.0)
         assert model.components.shape[1] == 6
-        back = pca_inverse(model, pca_transform(model, rows))
+        back = pca_transform(model, rows) @ model.components.T + model.mean
         assert np.max(np.abs(back - rows)) < 1e-8
 
     def test_rank_zero_flagged(self):

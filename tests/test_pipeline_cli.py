@@ -1,11 +1,12 @@
 """End-to-end pipeline, report determinism, plotting, and the CLI surface."""
 import json
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from edgeclust.cli import cli
+from edgeclust.cli import cli, main
 from edgeclust.core import SampleSet, validate_partition
 from edgeclust.errors import ConfigError, DataError
 from edgeclust.pipeline import RunConfig, run_pipeline
@@ -16,6 +17,16 @@ DISJOINT_SPEC = {
     "p1": {"kind": "uniform", "low": [0.0], "high": [1.0]},
     "p0": {"kind": "uniform", "low": [2.0], "high": [3.0]},
 }
+
+
+def exit_code(monkeypatch, args):
+    """Exit status of the edgeclust entry point run in-process."""
+    monkeypatch.setattr(sys, "argv", ["edgeclust", *args])
+    try:
+        main()
+    except SystemExit as exc:
+        return exc.code
+    return 0
 
 
 def small_cfg(**kwargs):
@@ -186,6 +197,44 @@ class TestCli:
         assert out["rounded_cost"] == pytest.approx(1.0)
         assert out["lp_lower_bound"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_certify_empty_graph_matches_cluster(self, tmp_path):
+        runner = CliRunner()
+        graph = tmp_path / "empty.tsv"
+        graph.write_text("")
+        labels = tmp_path / "labels.txt"
+        cert = tmp_path / "cert.json"
+        res = runner.invoke(cli, ["cluster", "--graph", str(graph), "--n", "3",
+                                  "--out", str(labels),
+                                  "--certificate", str(cert)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(cli, ["certify", "--graph", str(graph), "--n", "3",
+                                  "--labels", str(labels)])
+        assert res.exit_code == 0, res.output
+        out = json.loads(res.output)
+        assert out == json.loads(cert.read_text())
+        assert out["lp_lower_bound"] == out["rounded_cost"] == 0.0
+
+    @pytest.mark.parametrize("row", ["-1,3,0", "3,3,1"])
+    def test_fit_rejects_bad_pair_indices(self, tmp_path, monkeypatch, row):
+        runner = CliRunner()
+        data = self._gen(runner, tmp_path)
+        pairs = tmp_path / "pairs.csv"
+        res = runner.invoke(cli, ["pairs", "--data", str(data), "--pairs",
+                                  "100", "--seed", "2", "--out", str(pairs)])
+        assert res.exit_code == 0, res.output
+        with open(pairs, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        assert exit_code(monkeypatch, [
+            "fit", "--data", str(data), "--pairs-file", str(pairs),
+            "--out", str(tmp_path / "model.npz")]) == 3
+
+    def test_pairs_rejects_degenerate_labeling(self, tmp_path, monkeypatch):
+        data = tmp_path / "one.csv"
+        data.write_text("0.0,0.0,1\n1.0,0.0,1\n0.0,1.0,1\n")
+        assert exit_code(monkeypatch, [
+            "pairs", "--data", str(data), "--seed", "1",
+            "--out", str(tmp_path / "pairs.csv")]) == 3
+
     def test_baseline_command(self, tmp_path):
         runner = CliRunner()
         data = self._gen(runner, tmp_path)
@@ -222,7 +271,7 @@ class TestCli:
                             standalone_mode=False)
         assert isinstance(res.exception, ConfigError)
 
-    def test_exit_codes(self, tmp_path):
+    def test_exit_codes(self, tmp_path, monkeypatch):
         import subprocess
         import sys
         data = tmp_path / "nope.csv"
@@ -238,3 +287,21 @@ class TestCli:
              "--data", str(bad), "--holdout", "2", "--pairs", "10"],
             capture_output=True, text=True)
         assert proc.returncode == 3
+        # a negative sparsify threshold is a config error in both commands
+        # that take it
+        runner = CliRunner()
+        data = self._gen(runner, tmp_path)
+        pairs = tmp_path / "pairs.csv"
+        model = tmp_path / "model.npz"
+        for step in (["pairs", "--data", str(data), "--pairs", "200",
+                      "--seed", "2", "--out", str(pairs)],
+                     ["fit", "--data", str(data), "--pairs-file", str(pairs),
+                      "--out", str(model)]):
+            res = runner.invoke(cli, step)
+            assert res.exit_code == 0, res.output
+        assert exit_code(monkeypatch, [
+            "graph", "--data", str(data), "--model", str(model),
+            "--sparsify", "-1", "--out", str(tmp_path / "g.tsv")]) == 2
+        assert exit_code(monkeypatch, [
+            "pipeline", "--kind", "blobs", "--seed", "1", "--holdout", "10",
+            "--train-pool", "20", "--pairs", "100", "--sparsify", "-1"]) == 2
