@@ -3,7 +3,6 @@ the log-likelihood into the log-odds-graph term minus disagreement costs, and
 the restricted-KL expected-disagreement estimator."""
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -12,7 +11,6 @@ from .core import Partition, co_membership
 from .density import SignedWeightedGraph
 from .edge_features import EdgeFeatureSet
 from .errors import DataError
-from .utils import worker_count
 
 _SUBSTREAMS = 16
 
@@ -82,32 +80,21 @@ def expected_dis(p1, p0, n1: int, n0: int, samples: int,
     """Monte Carlo estimate of the expected disagreement
     -n1*KL(P1||P0)|_{P1<=P0} - n0*KL(P0||P1)|_{P0<=P1}.
 
-    Draws are split across fixed seeded substreams so the result does not
-    depend on how many workers execute them.
+    Draws come from _SUBSTREAMS substreams spawned from rng, so the estimate
+    depends only on rng and the sample count.
     """
     if samples < 1000:
         raise DataError("need at least 1000 Monte Carlo samples")
     if n1 < 0 or n0 < 0:
         raise DataError("pair counts must be nonnegative")
     seeds = rng.spawn(2 * _SUBSTREAMS)
-    per = [samples // _SUBSTREAMS + (1 if t < samples % _SUBSTREAMS else 0)
-           for t in range(_SUBSTREAMS)]
-
-    def draw_terms(t):
-        sub1 = seeds[2 * t]
-        sub0 = seeds[2 * t + 1]
-        t1 = _one_sided_terms(p1, p0, p1.sample(sub1, per[t]))
-        t0 = _one_sided_terms(p0, p1, p0.sample(sub0, per[t]))
-        return t1, t0
-
-    workers = min(worker_count(), _SUBSTREAMS)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(draw_terms, range(_SUBSTREAMS)))
-    else:
-        results = [draw_terms(t) for t in range(_SUBSTREAMS)]
-    terms1 = np.concatenate([r[0] for r in results])
-    terms0 = np.concatenate([r[1] for r in results])
+    terms1, terms0 = [], []
+    for t in range(_SUBSTREAMS):
+        per = samples // _SUBSTREAMS + (1 if t < samples % _SUBSTREAMS else 0)
+        terms1.append(_one_sided_terms(p1, p0, p1.sample(seeds[2 * t], per)))
+        terms0.append(_one_sided_terms(p0, p1, p0.sample(seeds[2 * t + 1], per)))
+    terms1 = np.concatenate(terms1)
+    terms0 = np.concatenate(terms0)
 
     estimate = n1 * float(terms1.mean()) + n0 * float(terms0.mean())
     var = (n1 ** 2 * float(terms1.var(ddof=1)) / samples

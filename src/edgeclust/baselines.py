@@ -4,27 +4,25 @@ mutual-kNN graph with the random-walk Laplacian."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .core import Partition, SampleSet, validate_partition
 from .errors import ConfigError, DataError
 
+KMEANS_RESTARTS = 10  # k-means++ runs per clustering; lowest inertia wins
+
 
 @dataclass(frozen=True)
 class SpectralConfig:
     k: int
     knn: int = 20
-    sigma: Optional[float] = None  # None: median pairwise distance
 
     def __post_init__(self):
         if self.knn < 1:
             raise ConfigError("knn must be >= 1")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
 
 
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -43,8 +41,7 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _lloyd(x: np.ndarray, centers: np.ndarray, rng: np.random.Generator,
-           max_iter: int = 300, tol: float = 1e-10):
+def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int = 300, tol: float = 1e-10):
     k = centers.shape[0]
     for _ in range(max_iter):
         d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
@@ -68,38 +65,34 @@ def _lloyd(x: np.ndarray, centers: np.ndarray, rng: np.random.Generator,
     return labels, inertia
 
 
-def kmeans_matrix(x: np.ndarray, k: int, rng: np.random.Generator,
-                  restarts: int = 10):
-    """Lloyd iterations with k-means++ seeding; the best of ``restarts`` runs
-    by inertia wins."""
+def kmeans_matrix(x: np.ndarray, k: int, rng: np.random.Generator):
+    """Lloyd iterations with k-means++ seeding; the best of KMEANS_RESTARTS
+    runs by inertia wins."""
     x = np.asarray(x, dtype=float)
     if k < 1 or k > x.shape[0]:
         raise DataError("k must be in 1..n")
     best_labels, best_inertia = None, np.inf
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers = _kmeans_pp_init(x, k, rng)
-        labels, inertia = _lloyd(x, centers, rng)
+        labels, inertia = _lloyd(x, centers)
         if inertia < best_inertia:
             best_inertia = inertia
             best_labels = labels
     return best_labels, best_inertia
 
 
-def kmeans(s: SampleSet, k: int, rng: np.random.Generator,
-           restarts: int = 10) -> Partition:
-    labels, _ = kmeans_matrix(s.features, k, rng, restarts)
+def kmeans(s: SampleSet, k: int, rng: np.random.Generator) -> Partition:
+    labels, _ = kmeans_matrix(s.features, k, rng)
     return validate_partition(labels + 1)
 
 
 def _affinity(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     n = x.shape[0]
     d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
-    if cfg.sigma is None:
-        iu = np.triu_indices(n, k=1)
-        med = float(np.sqrt(np.median(d2[iu]))) if iu[0].size else 1.0
-        sigma = med if med > 0 else 1.0
-    else:
-        sigma = cfg.sigma
+    # Gaussian width: the median pairwise distance (1 if that is 0)
+    iu = np.triu_indices(n, k=1)
+    med = float(np.sqrt(np.median(d2[iu]))) if iu[0].size else 1.0
+    sigma = med if med > 0 else 1.0
     w = np.exp(-d2 / (2.0 * sigma ** 2))
     np.fill_diagonal(w, 0.0)
     # mutual kNN: keep w_ij only when each endpoint ranks the other in its

@@ -138,10 +138,13 @@ def graph(data, model, sparsify, has_labels, out):
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--certificate", type=click.Path(), default=None)
 def cluster(graph_path, algo, seed, n, out, certificate):
-    """Cluster a signed graph and write one label per node."""
+    """Cluster a signed graph and write one label per node, and optionally
+    the certificate of those labels (the one ``certify`` gives)."""
     g = read_graph_tsv(graph_path, n=n)
     part, cert = cluster_graph(g, algo, np.random.default_rng(seed))
-    if certificate and cert is not None:
+    if certificate:
+        if cert is None:
+            cert = corrclust.certify(g, part)
         with open(certificate, "w", encoding="utf-8") as fh:
             json.dump(cert.to_dict(), fh, sort_keys=True, indent=2)
     _write_labels(part.labels, out)

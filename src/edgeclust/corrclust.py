@@ -21,6 +21,8 @@ from .density import SignedWeightedGraph
 from .errors import DataError, SolverError
 
 TRIANGLE_TOL = 1e-6
+MAX_ROUNDS = 200   # lazy constraint-generation rounds before SolverError
+BATCH = 1000       # most-violated triangles added per round
 ORACLE_MAX_N = 12  # Bell(12) ~ 4.2e6 partitions for brute_force_optimum
 _SNAP = 1e-9
 
@@ -49,11 +51,9 @@ class FractionalMetric:
         return self.nodes.size
 
     def max_triangle_violation(self) -> float:
-        x = self.x
-        if x.shape[0] < 3:
+        if self.size < 3:
             return 0.0
-        viol = x[:, :, None] - x[:, None, :] - x[None, :, :]
-        return float(viol.max())
+        return float(_triangle_violations(self.x).max())
 
 
 @dataclass(frozen=True)
@@ -68,51 +68,59 @@ class SolveCertificate:
         return asdict(self)
 
 
+def _disagreements(positive: np.ndarray, costs: np.ndarray,
+                   same: np.ndarray) -> float:
+    """Cost of the positive edges cut plus the negative edges kept internal,
+    given each kept edge's sign test and co-membership bit."""
+    return costs[np.where(positive, ~same, same)].sum()
+
+
 def disagreement_cost(g: SignedWeightedGraph, p: Partition) -> float:
     """Total cost of positive edges cut by p plus negative edges kept
     internal; dropped edges contribute nothing."""
     if p.n != g.n:
         raise DataError(f"partition covers {p.n} nodes, graph has {g.n}")
-    same = co_membership(p, g.pairs)
-    bad = np.where(g.signs > 0, ~same, same)
-    return float(g.costs[bad].sum())
+    return float(_disagreements(g.signs > 0, g.costs, co_membership(p, g.pairs)))
 
 
-def _violated_triangles(x: np.ndarray, budget: int, tol: float):
-    """Most-violated triangle inequalities x_ij <= x_il + x_lj, as (i, j, l)
-    triples with i < j and l distinct from both."""
+def _local_pairs(nodes: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Pairs re-indexed to positions in the ascending id array ``nodes``."""
+    if not np.isin(pairs, nodes).all():
+        raise DataError("the metric's nodes do not cover the graph's kept edges")
+    return np.searchsorted(nodes, pairs)
+
+
+def _triangle_violations(x: np.ndarray) -> np.ndarray:
+    """(a, a, a) tensor of x_ij - x_il - x_lj for a symmetric x."""
+    return x[:, :, None] - x[:, None, :] - x[None, :, :]
+
+
+def _violated_triangles(x: np.ndarray, budget: int, tol: float) -> np.ndarray:
+    """Flat ids i*a*a + j*a + l of the at most ``budget`` most-violated
+    triangle inequalities x_ij <= x_il + x_lj with i < j, most violated
+    first. With x_ii = 0 every l in {i, j} violates by exactly 0, so tol > 0
+    keeps l distinct from both."""
     a = x.shape[0]
-    viol = x[:, :, None] - x[:, None, :] - x[None, :, :]
-    ii, jj, ll = np.meshgrid(np.arange(a), np.arange(a), np.arange(a),
-                             indexing="ij")
-    mask = (ii < jj) & (ll != ii) & (ll != jj) & (viol > tol)
-    if not mask.any():
-        return []
-    flat = np.flatnonzero(mask.ravel())
+    viol = _triangle_violations(x)
+    viol[np.tril_indices(a)] = 0.0
+    flat = np.flatnonzero(viol > tol)
     vals = viol.ravel()[flat]
     if flat.size > budget:
         top = np.argpartition(vals, -budget)[-budget:]
         flat = flat[top]
         vals = vals[top]
-    order = np.argsort(-vals, kind="stable")
-    flat = flat[order]
-    i = flat // (a * a)
-    rem = flat % (a * a)
-    j = rem // a
-    l = rem % a
-    return list(zip(i.tolist(), j.tolist(), l.tolist()))
+    return flat[np.argsort(-vals, kind="stable")]
 
 
-def lp_relax(g: SignedWeightedGraph, max_rounds: int = 200,
-             batch: int = 1000) -> FractionalMetric:
+def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     """Solve the metric LP relaxation with lazy triangle-constraint
-    generation; the returned objective is a valid lower bound on the optimal
+    generation, adding at most BATCH rows in each of at most MAX_ROUNDS
+    rounds; the returned objective is a valid lower bound on the optimal
     disagreement cost."""
     if g.edge_count == 0:
         raise DataError("graph has no kept edges")
     nodes = np.unique(g.pairs)
     a = nodes.size
-    local = {int(v): t for t, v in enumerate(nodes)}
     # variable index for each unordered pair over the active node set
     var = -np.ones((a, a), dtype=int)
     iu = np.triu_indices(a, k=1)
@@ -120,28 +128,24 @@ def lp_relax(g: SignedWeightedGraph, max_rounds: int = 200,
     var = np.maximum(var, var.T)
     nvars = iu[0].size
 
+    local = _local_pairs(nodes, g.pairs)
+    pos = g.signs > 0
     c = np.zeros(nvars)
-    const = 0.0
-    for (i, j), s, cost in zip(g.pairs, g.signs, g.costs):
-        v = var[local[int(i)], local[int(j)]]
-        if s > 0:
-            c[v] += cost
-        else:
-            c[v] -= cost
-            const += cost
+    c[var[local[:, 0], local[:, 1]]] = np.where(pos, g.costs, -g.costs)
+    const = sum(g.costs[~pos].tolist())  # left to right, in edge order
 
-    rows_i, rows_j, vals = [], [], []
-    nrows = 0
-    added = set()
-    x = None
-    for _ in range(max_rounds):
-        if nrows:
-            a_ub = sparse.csr_matrix((vals, (rows_i, rows_j)),
-                                     shape=(nrows, nvars))
-            res = linprog(c, A_ub=a_ub, b_ub=np.zeros(nrows),
-                          bounds=(0.0, 1.0), method="highs")
-        else:
-            res = linprog(c, bounds=(0.0, 1.0), method="highs")
+    added = np.empty(0, dtype=np.intp)  # flat triangle ids, one row each
+    for _ in range(MAX_ROUNDS):
+        a_ub = None
+        if added.size:
+            i, j, l = np.unravel_index(added, (a, a, a))
+            a_ub = sparse.csr_matrix(
+                (np.tile([1.0, -1.0, -1.0], added.size),
+                 (np.repeat(np.arange(added.size), 3),
+                  np.stack([var[i, j], var[i, l], var[l, j]], axis=1).ravel())),
+                shape=(added.size, nvars))
+        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(added.size),
+                      bounds=(0.0, 1.0), method="highs")
         if not res.success:
             raise SolverError(f"LP solve failed: {res.message}")
         x = np.asarray(res.x)
@@ -150,27 +154,13 @@ def lp_relax(g: SignedWeightedGraph, max_rounds: int = 200,
         xm = np.zeros((a, a))
         xm[iu] = x
         xm = xm + xm.T
-        triples = [t for t in _violated_triangles(xm, batch, TRIANGLE_TOL)
-                   if t not in added]
-        if not triples:
+        flat = _violated_triangles(xm, BATCH, TRIANGLE_TOL)
+        flat = flat[~np.isin(flat, added)]
+        if not flat.size:
             objective = float(c @ x + const)
             return FractionalMetric(nodes=nodes, x=xm, objective=objective)
-        for (i, j, l) in triples:
-            added.add((i, j, l))
-            rows_i += [nrows, nrows, nrows]
-            rows_j += [var[i, j], var[i, l], var[l, j]]
-            vals += [1.0, -1.0, -1.0]
-            nrows += 1
+        added = np.concatenate([added, flat])
     raise SolverError("lazy triangle generation exceeded its round budget")
-
-
-def _positive_adjacency(g: SignedWeightedGraph, local: dict, a: int):
-    """Positive-edge lists in local indices: (i, j, cost) arrays."""
-    pos = g.signs > 0
-    pi = np.array([local[int(v)] for v in g.pairs[pos, 0]], dtype=int)
-    pj = np.array([local[int(v)] for v in g.pairs[pos, 1]], dtype=int)
-    pc = g.costs[pos]
-    return pi, pj, pc
 
 
 def round_regions(m: FractionalMetric, g: SignedWeightedGraph) -> Partition:
@@ -183,8 +173,9 @@ def round_regions(m: FractionalMetric, g: SignedWeightedGraph) -> Partition:
     """
     n = g.n
     a = m.size
-    local = {int(v): t for t, v in enumerate(m.nodes)}
-    pi, pj, pc = _positive_adjacency(g, local, a)
+    pos = g.signs > 0
+    pi, pj = _local_pairs(m.nodes, g.pairs)[pos].T
+    pc = g.costs[pos]
     factor = approximation_factor(n)
     f_seed = m.objective / n
     x = m.x
@@ -293,8 +284,7 @@ def brute_force_optimum(g: SignedWeightedGraph):
     best_cost = math.inf
     best = None
     for labels in _set_partitions(g.n):
-        same = labels[pi] == labels[pj]
-        cost = g.costs[np.where(pos, ~same, same)].sum()
+        cost = _disagreements(pos, g.costs, labels[pi] == labels[pj])
         if cost < best_cost - 1e-15:
             best_cost = float(cost)
             best = labels.copy()

@@ -59,19 +59,15 @@ class DensityModel:
         return np.maximum(out, LOG_FLOOR)
 
 
-def kde_fit(vectors: np.ndarray, bandwidths=None) -> DensityModel:
+def kde_fit(vectors: np.ndarray) -> DensityModel:
     """Fit a KDE with Scott's-rule per-dimension bandwidths
     h_j = sigma_j * m^(-1/(d+4)), floored for degenerate dimensions."""
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2:
         raise DataError("training vectors must be a 2-D matrix")
-    if bandwidths is not None:
-        return DensityModel(training_points=vectors,
-                            bandwidths=np.asarray(bandwidths, dtype=float))
     m, d = vectors.shape
     if m < 2:
-        raise DataError("bandwidth estimation needs >= 2 training points; "
-                        "pass bandwidths explicitly for smaller sets")
+        raise DataError("bandwidth estimation needs >= 2 training points")
     sigma = vectors.std(axis=0, ddof=1)
     h = sigma * m ** (-1.0 / (d + 4))
     h = np.maximum(h, 1e-6 * (1.0 + np.abs(sigma)))

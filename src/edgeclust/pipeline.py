@@ -41,7 +41,7 @@ class RunConfig:
     algo: str = "lp"
     pairs: int = 5000
     holdout: int = 100
-    train_pool: int = 200
+    train_pool: int = 200        # training samples; CSV: 0 = all the rest
     k: Optional[int] = None      # synthetic generation / baseline input
     noise: float = 0.03
     baselines: bool = False
@@ -59,6 +59,11 @@ class RunConfig:
             raise ConfigError("need at least one training pair")
         if self.holdout < 2:
             raise ConfigError("need at least two hold-out samples")
+        if self.train_pool < 0:
+            raise ConfigError("train_pool must be >= 0 (0: every non-hold-out "
+                              "CSV row)")
+        if self.dataset in SYNTHETIC_KINDS and self.train_pool < 2:
+            raise ConfigError("synthetic data needs train_pool >= 2")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from edgeclust.densities import GaussianDensity, UniformBoxDensity
 from edgeclust.density import build_signed_graph, kde_fit
 from edgeclust.edge_features import EdgeFeatureSet, all_pairs
 from edgeclust.errors import ConfigError, DataError
-from edgeclust.utils import worker_count
 
 
 def _kde_instance(seed, n=5):
@@ -143,23 +142,17 @@ class TestExpectedDis:
         with pytest.raises((ConfigError, DataError)):
             expected_dis(p, p, n1=1, n0=1, samples=10, rng=rng)
 
-    def test_worker_count_invariance(self, monkeypatch):
-        # seeded substreams make the estimate independent of the worker count
+    def test_seeded_estimate_pinned(self):
+        # values of the 16-substream estimator before its worker pool was
+        # removed; 4001 samples split unevenly across the substreams
         p1 = GaussianDensity(mean=[0.0], sigma=[1.0])
         p0 = GaussianDensity(mean=[1.0], sigma=[1.0])
-        results = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("EDGECLUST_THREADS", threads)
-            rep = expected_dis(p1, p0, n1=3, n0=4, samples=4000,
+        for samples, estimate, std_error in (
+                (4000, 1.3689673623812708, 0.03247508896168749),
+                (4001, 1.3694699683821305, 0.032475140108611904)):
+            rep = expected_dis(p1, p0, n1=3, n0=4, samples=samples,
                                rng=np.random.default_rng(5))
-            results.append((rep.estimate, rep.std_error))
-        assert results[0] == results[1]
-
-    @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
-    def test_bad_thread_count_rejected(self, monkeypatch, threads):
-        monkeypatch.setenv("EDGECLUST_THREADS", threads)
-        with pytest.raises(ConfigError, match="EDGECLUST_THREADS"):
-            worker_count()
+            assert (rep.estimate, rep.std_error) == (estimate, std_error)
 
     def test_report_serialization(self, rng):
         p = GaussianDensity(mean=[0.0], sigma=[1.0])

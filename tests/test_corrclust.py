@@ -4,14 +4,41 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_graph, random_graph, unit_triangle
+from edgeclust import corrclust
 from edgeclust.core import validate_partition
 from edgeclust.corrclust import (FractionalMetric, TRIANGLE_TOL,
                                  brute_force_optimum, c1_constant,
                                  disagreement_cost, kwik_cluster, lp_relax,
-                                 round_regions, solve, _set_partitions)
-from edgeclust.errors import DataError
+                                 round_regions, solve, _set_partitions,
+                                 _violated_triangles)
+from edgeclust.errors import DataError, SolverError
+
+
+def naive_violations(x, tol):
+    """(violation, flat id i*a*a + j*a + l) of every triangle inequality
+    x_ij <= x_il + x_lj with i < j and l outside {i, j} violated by more
+    than tol, by a plain triple loop."""
+    a = x.shape[0]
+    found = []
+    for i in range(a):
+        for j in range(i + 1, a):
+            for l in range(a):
+                if l not in (i, j):
+                    v = x[i, j] - x[i, l] - x[l, j]
+                    if v > tol:
+                        found.append((float(v), (i * a + j) * a + l))
+    return found
+
+
+def tied_symmetric(a, rng):
+    """Symmetric (a, a) matrix, zero diagonal, entries on a quarter grid so
+    that many violations tie."""
+    x = np.triu(rng.integers(0, 5, size=(a, a)) / 4.0, k=1)
+    return x + x.T
 
 
 class TestDisagreementCost:
@@ -36,6 +63,37 @@ class TestDisagreementCost:
             disagreement_cost(unit_triangle(), validate_partition([1, 1]))
 
 
+class TestViolatedTriangles:
+    def test_matches_triple_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            x = tied_symmetric(int(rng.integers(1, 9)), rng)
+            found = naive_violations(x, TRIANGLE_TOL)
+            want = [t for _, t in sorted(found, key=lambda f: -f[0])]
+            for budget in (len(found), len(found) + 5):
+                got = _violated_triangles(x, budget, TRIANGLE_TOL)
+                assert got.tolist() == want
+
+    def test_truncation_keeps_the_most_violated(self):
+        rng = np.random.default_rng(12)
+        checked = 0
+        for _ in range(40):
+            x = tied_symmetric(int(rng.integers(3, 9)), rng)
+            viol = dict((t, v) for v, t in naive_violations(x, TRIANGLE_TOL))
+            if len(viol) < 2:
+                continue
+            budget = len(viol) // 2
+            got = _violated_triangles(x, budget, TRIANGLE_TOL).tolist()
+            assert len(got) == len(set(got)) == budget
+            assert set(got) <= set(viol)
+            kept = [viol[t] for t in got]
+            assert kept == sorted(kept, reverse=True)
+            omitted = [v for t, v in viol.items() if t not in set(got)]
+            assert max(omitted) <= min(kept)
+            checked += 1
+        assert checked >= 20
+
+
 class TestLpRelax:
     def test_all_positive_graph(self):
         g = make_graph(3, [(0, 1, 1, 1.0), (0, 2, 1, 2.0), (1, 2, 1, 0.5)])
@@ -57,6 +115,29 @@ class TestLpRelax:
     def test_no_kept_edges_rejected(self):
         with pytest.raises(DataError):
             lp_relax(make_graph(3, []))
+
+    def test_round_budget_exhausted(self, monkeypatch):
+        # the first solve of the unit triangle violates a triangle, so one
+        # round cannot reach a feasible metric
+        monkeypatch.setattr(corrclust, "MAX_ROUNDS", 1)
+        with pytest.raises(SolverError, match="round budget"):
+            lp_relax(unit_triangle())
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_objective_invariant_under_relabeling(self, data):
+        n = data.draw(st.integers(3, 7))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        kept = data.draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                  unique=True))
+        edges = [(i, j, data.draw(st.sampled_from([-1, 1])),
+                  data.draw(st.floats(0.1, 2.0))) for i, j in kept]
+        perm = data.draw(st.permutations(range(n)))
+        relabeled = [(min(perm[i], perm[j]), max(perm[i], perm[j]), s, c)
+                     for i, j, s, c in edges]
+        want = lp_relax(make_graph(n, edges)).objective
+        got = lp_relax(make_graph(n, relabeled)).objective
+        assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
 
     def test_triangle_feasibility_on_random_instances(self):
         for seed in range(10):
@@ -81,6 +162,12 @@ class TestRoundRegions:
         m = FractionalMetric(nodes=np.arange(3), x=x, objective=0.0)
         p = round_regions(m, g)
         assert p.k == 3
+
+    def test_metric_must_cover_graph_nodes(self):
+        m = FractionalMetric(nodes=np.arange(2), x=np.zeros((2, 2)),
+                             objective=0.0)
+        with pytest.raises(DataError, match="cover"):
+            round_regions(m, unit_triangle())
 
     def test_isolated_nodes_become_singletons(self):
         g = make_graph(5, [(0, 1, 1, 1.0)], )

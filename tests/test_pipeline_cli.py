@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from edgeclust import corrclust
 from edgeclust.cli import cli, main
 from edgeclust.core import SampleSet, validate_partition
 from edgeclust.errors import ConfigError, DataError
@@ -214,6 +215,23 @@ class TestCli:
         assert out == json.loads(cert.read_text())
         assert out["lp_lower_bound"] == out["rounded_cost"] == 0.0
 
+    @pytest.mark.parametrize("algo", ["lp", "pivot", "oracle"])
+    def test_cluster_certificate_matches_certify(self, tmp_path, algo):
+        runner = CliRunner()
+        graph = tmp_path / "g.tsv"
+        graph.write_text("0\t1\t+1\t1\n0\t2\t+1\t2\n1\t2\t-1\t0.5\n"
+                         "2\t3\t+1\t1\n1\t3\t-1\t1.5\n")
+        labels = tmp_path / "labels.txt"
+        cert = tmp_path / "cert.json"
+        res = runner.invoke(cli, ["cluster", "--graph", str(graph), "--algo",
+                                  algo, "--seed", "3", "--out", str(labels),
+                                  "--certificate", str(cert)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(cli, ["certify", "--graph", str(graph),
+                                  "--labels", str(labels)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(cert.read_text()) == json.loads(res.output)
+
     @pytest.mark.parametrize("row", ["-1,3,0", "3,3,1"])
     def test_fit_rejects_bad_pair_indices(self, tmp_path, monkeypatch, row):
         runner = CliRunner()
@@ -305,3 +323,16 @@ class TestCli:
         assert exit_code(monkeypatch, [
             "pipeline", "--kind", "blobs", "--seed", "1", "--holdout", "10",
             "--train-pool", "20", "--pairs", "100", "--sparsify", "-1"]) == 2
+        # a training pool below 0, or below 2 for synthetic data, is a config
+        # error rather than a failure inside the data stage
+        for pool in ("-5", "0"):
+            assert exit_code(monkeypatch, [
+                "pipeline", "--kind", "crossbones", "--seed", "1",
+                "--holdout", "10", "--train-pool", pool]) == 2
+        # an LP that runs out of constraint-generation rounds -> 4
+        graph = tmp_path / "triangle.tsv"
+        graph.write_text("0\t1\t+1\t1\n0\t2\t+1\t1\n1\t2\t-1\t1\n")
+        monkeypatch.setattr(corrclust, "MAX_ROUNDS", 1)
+        assert exit_code(monkeypatch, [
+            "cluster", "--graph", str(graph),
+            "--out", str(tmp_path / "labels.txt")]) == 4
