@@ -15,7 +15,8 @@ import numpy as np
 
 from . import corrclust
 from .baselines import SpectralConfig, kmeans, spectral
-from .core import SampleSet, score, validate_partition
+from .core import (SampleSet, parse_lines, read_lines, score,
+                   validate_partition, write_lines)
 from .datagen import (SYNTHETIC_KINDS, load_csv, load_labeled_pairs, save_csv,
                       save_labeled_pairs)
 from .density import build_signed_graph, read_graph_tsv, write_graph_tsv
@@ -41,32 +42,22 @@ def _parse_pca(value):
         raise ConfigError("--pca expects a float in (0,1] or 'off'") from None
 
 
-def _emit(text, out):
-    """Write text plus a newline to the file ``out``, or echo it."""
+def _emit(report: dict, out):
+    """Write a report as sorted, indented JSON plus a newline to the file
+    ``out``, or echo it."""
+    text = json.dumps(report, sort_keys=True, indent=2)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_lines(out, [text])
     else:
         click.echo(text)
 
 
-def _write_labels(labels, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for lab in labels:
-            fh.write(f"{int(lab)}\n")
-
-
 def _read_labels(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return np.array([int(line.strip()) for line in fh if line.strip()],
-                            dtype=int)
-        except ValueError:
-            raise DataError(f"{path}: labels file must hold one integer "
-                            "per line") from None
+    (labels,) = parse_lines(path, read_lines(path, ","), (int,))
+    return np.array(labels, dtype=int)
 
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 def cli():
     """Edge-feature structured clustering toolkit."""
 
@@ -75,7 +66,7 @@ def cli():
 @click.option("--kind", type=_KINDS, required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--k", type=int, default=None)
-@click.option("--noise", type=float, default=0.03, show_default=True)
+@click.option("--noise", type=float, default=RunConfig.noise)
 @click.option("--seed", type=int, required=True)
 @click.option("--out", type=click.Path(), required=True)
 def gen(kind, n, k, noise, seed, out):
@@ -86,7 +77,7 @@ def gen(kind, n, k, noise, seed, out):
 
 @cli.command()
 @click.option("--data", type=click.Path(exists=True), required=True)
-@click.option("--pairs", "m", type=int, default=5000, show_default=True)
+@click.option("--pairs", "m", type=int, default=RunConfig.pairs)
 @click.option("--seed", type=int, required=True)
 @click.option("--out", type=click.Path(), required=True)
 def pairs(data, m, seed, out):
@@ -101,10 +92,8 @@ def pairs(data, m, seed, out):
 @cli.command()
 @click.option("--data", type=click.Path(exists=True), required=True)
 @click.option("--pairs-file", type=click.Path(exists=True), required=True)
-@click.option("--similarity", type=_SIMILARITIES, default="absdiff",
-              show_default=True)
-@click.option("--pca", default="off", show_default=True,
-              help="variance target in (0,1], or 'off'")
+@click.option("--similarity", type=_SIMILARITIES, default="absdiff")
+@click.option("--pca", default="off", help="variance target in (0,1], or 'off'")
 @click.option("--out", type=click.Path(), required=True)
 def fit(data, pairs_file, similarity, pca, out):
     """Fit the P1/P0 kernel density models from labeled pairs."""
@@ -118,8 +107,8 @@ def fit(data, pairs_file, similarity, pca, out):
 @cli.command()
 @click.option("--data", type=click.Path(exists=True), required=True)
 @click.option("--model", type=click.Path(exists=True), required=True)
-@click.option("--sparsify", type=float, default=0.0, show_default=True)
-@click.option("--has-labels/--no-labels", default=True, show_default=True)
+@click.option("--sparsify", type=float, default=RunConfig.sparsify)
+@click.option("--has-labels/--no-labels", default=True)
 @click.option("--out", type=click.Path(), required=True)
 def graph(data, model, sparsify, has_labels, out):
     """Build the signed log-odds graph over every pair of samples in DATA."""
@@ -132,8 +121,8 @@ def graph(data, model, sparsify, has_labels, out):
 
 @cli.command()
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
-@click.option("--algo", type=_ALGORITHMS, default="lp", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--algo", type=_ALGORITHMS, default=RunConfig.algo)
+@click.option("--seed", type=int, default=0)
 @click.option("--n", type=int, default=None, help="node count override")
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--certificate", type=click.Path(), default=None)
@@ -145,16 +134,15 @@ def cluster(graph_path, algo, seed, n, out, certificate):
     if certificate:
         if cert is None:
             cert = corrclust.certify(g, part)
-        with open(certificate, "w", encoding="utf-8") as fh:
-            json.dump(cert.to_dict(), fh, sort_keys=True, indent=2)
-    _write_labels(part.labels, out)
+        _emit(cert.to_dict(), certificate)
+    write_lines(out, map(str, part.labels))
 
 
 @cli.command()
 @click.option("--data", type=click.Path(exists=True), required=True)
 @click.option("--method", type=click.Choice(["kmeans", "spectral"]), required=True)
 @click.option("--k", type=int, required=True)
-@click.option("--knn", type=int, default=20, show_default=True)
+@click.option("--knn", type=int, default=RunConfig.knn)
 @click.option("--seed", type=int, required=True)
 @click.option("--out", type=click.Path(), required=True)
 def baseline(data, method, k, knn, seed, out):
@@ -165,7 +153,7 @@ def baseline(data, method, k, knn, seed, out):
         part = kmeans(s, k, rng)
     else:
         part = spectral(s, SpectralConfig(k=k, knn=knn), rng)
-    _write_labels(part.labels, out)
+    write_lines(out, map(str, part.labels))
 
 
 @cli.command("eval")
@@ -181,7 +169,7 @@ def eval_cmd(pred, truth, out):
     else:
         truth_labels = _read_labels(truth)
     report = score(predicted, validate_partition(truth_labels))
-    _emit(json.dumps(report.to_dict(), sort_keys=True, indent=2), out)
+    _emit(report.to_dict(), out)
 
 
 @cli.command()
@@ -193,8 +181,7 @@ def certify(graph_path, labels, n, out):
     """LP lower bound and disagreement cost of a given labeling."""
     g = read_graph_tsv(graph_path, n=n)
     part = validate_partition(_read_labels(labels))
-    _emit(json.dumps(corrclust.certify(g, part).to_dict(), sort_keys=True,
-                     indent=2), out)
+    _emit(corrclust.certify(g, part).to_dict(), out)
 
 
 @cli.command()
@@ -218,18 +205,17 @@ def plot(data, labels, out):
 @click.option("--edge-spec", type=click.Path(exists=True), default=None,
               help="JSON file with sizes, p1, p0 density descriptors")
 @click.option("--seed", type=int, required=True)
-@click.option("--similarity", type=_SIMILARITIES, default="absdiff",
-              show_default=True)
-@click.option("--sparsify", type=float, default=0.0, show_default=True)
-@click.option("--pca", default="off", show_default=True)
-@click.option("--algo", type=_ALGORITHMS, default="lp", show_default=True)
-@click.option("--pairs", type=int, default=5000, show_default=True)
-@click.option("--holdout", type=int, default=100, show_default=True)
-@click.option("--train-pool", type=int, default=200, show_default=True)
+@click.option("--similarity", type=_SIMILARITIES, default="absdiff")
+@click.option("--sparsify", type=float, default=RunConfig.sparsify)
+@click.option("--pca", default="off")
+@click.option("--algo", type=_ALGORITHMS, default=RunConfig.algo)
+@click.option("--pairs", type=int, default=RunConfig.pairs)
+@click.option("--holdout", type=int, default=RunConfig.holdout)
+@click.option("--train-pool", type=int, default=RunConfig.train_pool)
 @click.option("--k", type=int, default=None)
-@click.option("--noise", type=float, default=0.03, show_default=True)
-@click.option("--baselines/--no-baselines", default=False, show_default=True)
-@click.option("--knn", type=int, default=20, show_default=True)
+@click.option("--noise", type=float, default=RunConfig.noise)
+@click.option("--baselines/--no-baselines", default=False)
+@click.option("--knn", type=int, default=RunConfig.knn)
 @click.option("--out", type=click.Path(), default=None)
 def pipeline(kind, data, edge_spec, seed, similarity, sparsify, pca, algo,
              pairs, holdout, train_pool, k, noise, baselines, knn, out):
@@ -240,7 +226,10 @@ def pipeline(kind, data, edge_spec, seed, similarity, sparsify, pca, algo,
     edge_spec_dict = None
     if edge_spec is not None:
         with open(edge_spec, "r", encoding="utf-8") as fh:
-            edge_spec_dict = json.load(fh)
+            try:
+                edge_spec_dict = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"{edge_spec}: invalid JSON: {exc}") from None
         dataset = "edge_level"
     else:
         dataset = kind if kind is not None else data
@@ -249,7 +238,7 @@ def pipeline(kind, data, edge_spec, seed, similarity, sparsify, pca, algo,
                     pairs=pairs, holdout=holdout, train_pool=train_pool,
                     k=k, noise=noise, baselines=baselines, knn=knn,
                     edge_spec=edge_spec_dict)
-    _emit(run_pipeline(cfg).to_json(), out)
+    _emit(run_pipeline(cfg).to_dict(), out)
 
 
 def main():

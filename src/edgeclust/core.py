@@ -1,5 +1,6 @@
-"""Domain types shared by all modules, partition semantics, and clustering
-quality metrics.
+"""Domain types shared by all modules, partition semantics, clustering
+quality metrics, and the one row reader and line writer behind every text
+file the package reads or writes.
 
 Partitions map node indices 0..n-1 to cluster labels 1..k. All types are
 immutable after construction and all operations are pure functions.
@@ -12,6 +13,45 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError
+
+
+def read_lines(path, sep: str) -> list:
+    """(line number, fields) for every non-blank line of the UTF-8 text file
+    ``path``, stripped and split on ``sep``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(lineno, raw.strip())
+                     for lineno, raw in enumerate(fh, start=1)]
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+    return [(lineno, line.split(sep)) for lineno, line in lines if line]
+
+
+def parse_lines(path, lines, casts) -> list:
+    """Columns of the rows ``lines`` (as read_lines gives them), field c of
+    every row cast with ``casts[c]``. A row of another width, or a cell its
+    cast rejects with ValueError, raises DataError naming ``path:line`` and
+    the 1-based column."""
+    columns = [[] for _ in casts]
+    for lineno, fields in lines:
+        if len(fields) != len(casts):
+            raise DataError(f"{path}:{lineno}: expected {len(casts)} fields, "
+                            f"found {len(fields)}")
+        for col, (cast, cell, column) in enumerate(zip(casts, fields, columns),
+                                                   start=1):
+            try:
+                column.append(cast(cell))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: column {col}: cannot read "
+                                f"{cell.strip()!r}") from None
+    return columns
+
+
+def write_lines(path, lines) -> None:
+    """Write each string of ``lines`` as one line of the UTF-8 text file
+    ``path``, with LF endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 @dataclass(frozen=True)

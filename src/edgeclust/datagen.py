@@ -8,7 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SampleSet, validate_partition
+from .core import (SampleSet, parse_lines, read_lines, validate_partition,
+                   write_lines)
 from .edge_features import EdgeFeatureSet, all_pairs
 from .errors import ConfigError, DataError
 
@@ -41,7 +42,10 @@ class EdgeLevelSpec:
     p0: object
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        try:
+            sizes = tuple(int(s) for s in self.sizes)
+        except (TypeError, ValueError):
+            raise ConfigError("cluster sizes must be a list of integers") from None
         if not sizes or any(s < 1 for s in sizes):
             raise ConfigError("cluster sizes must be positive")
         if self.p1.d != self.p0.d:
@@ -136,10 +140,9 @@ def gen_edge_level(spec: EdgeLevelSpec, rng: np.random.Generator):
     return EdgeFeatureSet(pairs=pairs, vectors=vectors), truth
 
 
-def _looks_numeric(cells) -> bool:
+def _is_number(cell: str) -> bool:
     try:
-        for cell in cells:
-            float(cell)
+        float(cell)
     except ValueError:
         return False
     return True
@@ -147,33 +150,14 @@ def _looks_numeric(cells) -> bool:
 
 def load_csv(path, has_labels: bool = False) -> SampleSet:
     """Parse a numeric CSV into a SampleSet; the last column is the label
-    when flagged. A non-numeric first row is treated as a header."""
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                continue
-            cells = line.split(",")
-            if lineno == 1 and not _looks_numeric(cells):
-                continue  # header
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise DataError(f"{path}:{lineno}: expected {width} columns, "
-                                f"found {len(cells)}")
-            parsed = []
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: column {col}: "
-                                    f"non-numeric value {cell.strip()!r}") from None
-            rows.append(parsed)
-    if not rows:
+    when flagged. Line 1 is a header when none of its fields is a number."""
+    lines = read_lines(path, ",")
+    if lines and lines[0][0] == 1 and not any(map(_is_number, lines[0][1])):
+        lines = lines[1:]
+    if not lines:
         raise DataError(f"{path}: no data rows")
-    data = np.array(rows, dtype=float)
+    width = len(lines[0][1])
+    data = np.column_stack(parse_lines(path, lines, (float,) * width))
     if has_labels:
         if data.shape[1] < 2:
             raise DataError(f"{path}: need at least one feature column "
@@ -188,39 +172,26 @@ def load_csv(path, has_labels: bool = False) -> SampleSet:
 
 
 def save_csv(s: SampleSet, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row_idx in range(s.n):
-            cells = [f"{v:.17g}" for v in s.features[row_idx]]
-            if s.labels is not None:
-                cells.append(str(int(s.labels[row_idx])))
-            fh.write(",".join(cells) + "\n")
+    rows = ([f"{v:.17g}" for v in row] for row in s.features)
+    if s.labels is not None:
+        rows = (cells + [str(int(lab))] for cells, lab in zip(rows, s.labels))
+    write_lines(path, (",".join(cells) for cells in rows))
 
 
 def save_labeled_pairs(pairs: np.ndarray, same: np.ndarray, path) -> None:
     """Write the labeled-pair format: ``i,j,same`` with same in {0,1}."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for (i, j), s in zip(pairs, same):
-            fh.write(f"{i},{j},{int(s)}\n")
+    write_lines(path, (f"{i},{j},{int(s)}" for (i, j), s in zip(pairs, same)))
+
+
+def _flag(cell: str) -> bool:
+    value = int(cell)
+    if value not in (0, 1):
+        raise ValueError(cell)
+    return value == 1
 
 
 def load_labeled_pairs(path):
-    pairs, same = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 'i,j,same'")
-            try:
-                i, j, s = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            if s not in (0, 1):
-                raise DataError(f"{path}:{lineno}: same flag must be 0 or 1")
-            pairs.append((i, j))
-            same.append(bool(s))
-    if not pairs:
+    i, j, same = parse_lines(path, read_lines(path, ","), (int, int, _flag))
+    if not same:
         raise DataError(f"{path}: no pairs")
-    return np.array(pairs, dtype=int), np.array(same, dtype=bool)
+    return np.column_stack([i, j]), np.array(same, dtype=bool)

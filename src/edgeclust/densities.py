@@ -130,11 +130,16 @@ def parse_density(spec: dict):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("density spec must be a dict with a 'kind'")
     kind = spec["kind"]
-    if kind == "gaussian":
-        return GaussianDensity(mean=spec["mean"], sigma=spec["sigma"])
-    if kind == "uniform":
-        return UniformBoxDensity(low=spec["low"], high=spec["high"])
-    if kind == "mixture":
-        comps = tuple(parse_density(c) for c in spec["components"])
-        return MixtureDensity(components=comps, weights=spec.get("weights"))
+    try:
+        if kind == "gaussian":
+            return GaussianDensity(mean=spec["mean"], sigma=spec["sigma"])
+        if kind == "uniform":
+            return UniformBoxDensity(low=spec["low"], high=spec["high"])
+        if kind == "mixture":
+            comps = tuple(parse_density(c) for c in spec["components"])
+            return MixtureDensity(components=comps, weights=spec.get("weights"))
+    except KeyError as exc:
+        raise ConfigError(f"{kind} density spec lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{kind} density spec: {exc}") from None
     raise ConfigError(f"unknown density kind {kind!r}")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import check_pairs
+from .core import check_pairs, parse_lines, read_lines, write_lines
 from .densities import LOG_FLOOR
 from .edge_features import EdgeFeatureSet
 from .errors import ConfigError, DataError
@@ -136,29 +136,14 @@ def build_signed_graph(features: EdgeFeatureSet, p1, p0,
 def write_graph_tsv(g: SignedWeightedGraph, path) -> None:
     """Serialize kept edges as ``i<TAB>j<TAB>sign<TAB>cost`` lines (0-indexed,
     LF endings); dropped edges are omitted."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for (i, j), s, c in zip(g.pairs, g.signs, g.costs):
-            fh.write(f"{i}\t{j}\t{s:+d}\t{c:.17g}\n")
+    write_lines(path, (f"{i}\t{j}\t{s:+d}\t{c:.17g}"
+                       for (i, j), s, c in zip(g.pairs, g.signs, g.costs)))
 
 
 def read_graph_tsv(path, n: int = None) -> SignedWeightedGraph:
-    pairs, signs, costs = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            try:
-                i, j, s, c = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            pairs.append((i, j))
-            signs.append(s)
-            costs.append(c)
-    pairs = np.array(pairs, dtype=int).reshape(-1, 2)
+    i, j, signs, costs = parse_lines(path, read_lines(path, "\t"),
+                                     (int, int, int, float))
+    pairs = np.column_stack([i, j]).astype(int)
     if n is None:
         n = int(pairs.max()) + 1 if len(pairs) else 0
     return SignedWeightedGraph(n=n, pairs=pairs, signs=np.array(signs, dtype=int),

@@ -97,32 +97,20 @@ def build_edge_features(s: SampleSet, pairs: np.ndarray,
     return EdgeFeatureSet(pairs=pairs, vectors=edge_vectors(s.features, pairs, kind))
 
 
-def _sample_pair_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m distinct pairs drawn uniformly from all C(n,2); all of them if m
-    exceeds the total."""
-    total = n * (n - 1) // 2
+def sample_ranks(total: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m distinct ranks drawn uniformly from 0..total-1, sorted; every rank,
+    with nothing drawn, when m >= total."""
     if m >= total:
-        return all_pairs(n)
-    if total <= 5_000_000:
-        chosen = rng.choice(total, size=m, replace=False)
-        chosen.sort()
-        pairs = all_pairs(n)
-        return pairs[chosen]
-    # huge n: rejection sampling, collisions are rare for m << total
-    seen = set()
-    out = []
-    while len(out) < m:
-        i = int(rng.integers(n))
-        j = int(rng.integers(n))
-        if i == j:
-            continue
-        if i > j:
-            i, j = j, i
-        if (i, j) in seen:
-            continue
-        seen.add((i, j))
-        out.append((i, j))
-    return np.array(out, dtype=int)
+        return np.arange(total)
+    return np.sort(rng.choice(total, size=m, replace=False))
+
+
+def unrank_pairs(n: int, ranks) -> np.ndarray:
+    """all_pairs(n)[ranks], without building all_pairs(n)."""
+    rows = np.arange(n)
+    starts = rows * (2 * n - rows - 1) // 2  # rank of the first pair of row i
+    i = np.searchsorted(starts, ranks, side="right") - 1
+    return np.column_stack([i, ranks - starts[i] + i + 1])
 
 
 def sample_pairs(s: SampleSet, m: int, rng: np.random.Generator):
@@ -141,7 +129,7 @@ def sample_pairs(s: SampleSet, m: int, rng: np.random.Generator):
     if not (has_same and has_diff):
         raise DataError("labeling is degenerate: need at least one "
                         "same-cluster and one cross-cluster pair")
-    pairs = _sample_pair_indices(s.n, m, rng)
+    pairs = unrank_pairs(s.n, sample_ranks(s.n * (s.n - 1) // 2, m, rng))
     return pairs, s.labels[pairs[:, 0]] == s.labels[pairs[:, 1]]
 
 

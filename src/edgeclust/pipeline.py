@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import time
+import zipfile
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -20,7 +21,7 @@ from .datagen import (SYNTHETIC_KINDS, EdgeLevelSpec, SyntheticSpec,
 from .density import DensityModel, build_signed_graph, kde_fit
 from .edge_features import (EdgeFeatureSet, PcaModel, all_pairs,
                             build_edge_features, canonical_kind, pca_fit,
-                            pca_transform, sample_labeled_pairs)
+                            pca_transform, sample_labeled_pairs, sample_ranks)
 from .analysis import log_likelihood
 from .densities import parse_density
 from .errors import ConfigError, DataError, EdgeclustError
@@ -43,9 +44,9 @@ class RunConfig:
     holdout: int = 100
     train_pool: int = 200        # training samples; CSV: 0 = all the rest
     k: Optional[int] = None      # synthetic generation / baseline input
-    noise: float = 0.03
+    noise: float = SyntheticSpec.noise
     baselines: bool = False
-    knn: int = 20
+    knn: int = SpectralConfig.knn
     csv_has_labels: bool = True
     edge_spec: Optional[dict] = None  # sizes + p1/p0 density descriptors
 
@@ -59,11 +60,13 @@ class RunConfig:
             raise ConfigError("need at least one training pair")
         if self.holdout < 2:
             raise ConfigError("need at least two hold-out samples")
-        if self.train_pool < 0:
-            raise ConfigError("train_pool must be >= 0 (0: every non-hold-out "
-                              "CSV row)")
-        if self.dataset in SYNTHETIC_KINDS and self.train_pool < 2:
-            raise ConfigError("synthetic data needs train_pool >= 2")
+        # 2 samples give one pair, never both a same- and a cross-cluster one
+        if self.train_pool < 3 and (self.train_pool != 0
+                                    or self.dataset in SYNTHETIC_KINDS):
+            raise ConfigError("train_pool must be >= 3 (a CSV also takes 0: "
+                              "every non-hold-out row)")
+        if self.knn < 1:
+            raise ConfigError("knn must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -155,19 +158,29 @@ def save_model(model: EdgeModel, path) -> None:
 
 
 def load_model(path) -> EdgeModel:
-    with np.load(path) as data:
-        pca = None
-        if "pca_mean" in data:
-            pca = PcaModel(mean=data["pca_mean"],
-                           components=data["pca_components"],
-                           explained_variance=data["pca_variance"])
-        return EdgeModel(
-            similarity=str(data["similarity"]),
-            p1=DensityModel(training_points=data["p1_points"],
-                            bandwidths=data["p1_bw"]),
-            p0=DensityModel(training_points=data["p0_points"],
-                            bandwidths=data["p0_bw"]),
-            pca=pca)
+    """Read a model that save_model wrote; any other file is a DataError."""
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # not .npy/.npz
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise DataError(f"{path}: not a model .npz file")
+    with data:
+        try:
+            pca = None
+            if "pca_mean" in data:
+                pca = PcaModel(mean=data["pca_mean"],
+                               components=data["pca_components"],
+                               explained_variance=data["pca_variance"])
+            return EdgeModel(
+                similarity=str(data["similarity"]),
+                p1=DensityModel(training_points=data["p1_points"],
+                                bandwidths=data["p1_bw"]),
+                p0=DensityModel(training_points=data["p0_points"],
+                                bandwidths=data["p0_bw"]),
+                pca=pca)
+        except KeyError as exc:
+            raise DataError(f"{path}: {exc.args[0]}") from None
 
 
 def cluster_graph(graph, algo: str, rng: np.random.Generator):
@@ -198,8 +211,8 @@ def _prepare_node_level(cfg: RunConfig, rng: np.random.Generator):
     perm = rng.permutation(full.n)
     hold_idx = np.sort(perm[:cfg.holdout])
     train_idx = np.sort(perm[cfg.holdout:])
-    if not synthetic:
-        train_idx = train_idx[:max(cfg.train_pool, 2)] if cfg.train_pool else train_idx
+    if not synthetic and cfg.train_pool:
+        train_idx = train_idx[:cfg.train_pool]
     train = SampleSet(features=full.features[train_idx],
                       labels=validate_partition(full.labels[train_idx]).labels)
     holdout = SampleSet(features=full.features[hold_idx],
@@ -211,8 +224,7 @@ def _edge_level_pairs(features: EdgeFeatureSet, truth, m: int,
                       rng: np.random.Generator):
     """Training edge vectors: a uniform subsample of m generated edges,
     split by the planted partition."""
-    total = len(features)
-    chosen = np.sort(rng.choice(total, size=min(m, total), replace=False))
+    chosen = sample_ranks(len(features), m, rng)
     same = co_membership(truth, features.pairs[chosen])
     return features.vectors[chosen][same], features.vectors[chosen][~same]
 
@@ -235,11 +247,12 @@ def run_pipeline(cfg: RunConfig) -> ResultsReport:
     timing: dict = {}
 
     if cfg.dataset == "edge_level":
-        if cfg.edge_spec is None:
-            raise ConfigError("edge_level dataset needs an edge_spec")
-        spec = EdgeLevelSpec(sizes=cfg.edge_spec["sizes"],
-                             p1=parse_density(cfg.edge_spec["p1"]),
-                             p0=parse_density(cfg.edge_spec["p0"]))
+        spec = cfg.edge_spec
+        if not isinstance(spec, dict) or not {"sizes", "p1", "p0"} <= set(spec):
+            raise ConfigError("edge_level dataset needs an edge_spec object "
+                              "with sizes, p1 and p0")
+        spec = EdgeLevelSpec(sizes=spec["sizes"], p1=parse_density(spec["p1"]),
+                             p0=parse_density(spec["p0"]))
         features, truth = _stage("data", timing, lambda: gen_edge_level(spec, rng))
         holdout_set = None
         same_vecs, diff_vecs = _stage(

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Partition, SampleSet
+from .core import Partition, SampleSet, write_lines
 from .edge_features import pca_fit, pca_transform
 from .errors import DataError
 
@@ -54,5 +54,4 @@ def render_svg(s: SampleSet, p: Partition, path) -> None:
         fill = PALETTE[(p.labels[idx] - 1) % len(PALETTE)]
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{fill}"/>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_lines(path, parts)

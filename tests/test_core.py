@@ -1,15 +1,45 @@
-"""Domain types, partition semantics, and clustering metrics."""
+"""Domain types, partition semantics, clustering metrics, and the text
+row reader and line writer."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeclust.core import (Partition, co_membership, nmi, score,
-                            validate_partition)
+from edgeclust.core import (Partition, co_membership, nmi, parse_lines,
+                            read_lines, score, validate_partition,
+                            write_lines)
 from edgeclust.errors import DataError
 
 labels_arrays = st.lists(st.integers(min_value=-5, max_value=5),
                          min_size=1, max_size=12).map(np.array)
+
+
+class TestTextFiles:
+    def test_round_trip_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "rows.tsv"
+        write_lines(path, ["1\t2.5", "", " 3\t-4 "])
+        assert path.read_bytes() == b"1\t2.5\n\n 3\t-4 \n"
+        assert read_lines(path, "\t") == [(1, ["1", "2.5"]), (3, ["3", "-4"])]
+        assert parse_lines(path, read_lines(path, "\t"), (int, float)) == \
+            [[1, 3], [2.5, -4.0]]
+
+    @pytest.mark.parametrize("text, where", [
+        ("1\t2\n3\n", ":2: expected 2 fields, found 1"),
+        ("1\t2\n\n3\tx\n", ":3: column 2: cannot read 'x'"),
+    ])
+    def test_errors_name_line_and_column(self, tmp_path, text, where):
+        path = tmp_path / "rows.tsv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=re.escape(f"{path}{where}")):
+            parse_lines(path, read_lines(path, "\t"), (int, float))
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "rows.tsv"
+        path.write_bytes(b"\xff\xfe1\t2\n")
+        with pytest.raises(DataError, match="UTF-8"):
+            read_lines(path, "\t")
 
 
 class TestValidatePartition:

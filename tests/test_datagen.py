@@ -106,6 +106,12 @@ class TestCsv:
         with pytest.raises(DataError, match="column 2"):
             load_csv(path)
 
+    def test_first_row_typo_is_not_a_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1.0,oops,1\n2.0,3.0,1\n4.0,5.0,2\n")
+        with pytest.raises(DataError, match="d.csv:1: column 2"):
+            load_csv(path, has_labels=True)
+
     @pytest.mark.parametrize("label", ["inf", "-inf", "nan"])
     def test_non_finite_label_rejected(self, tmp_path, label):
         path = tmp_path / "d.csv"

@@ -8,7 +8,8 @@ from hypothesis.extra.numpy import arrays
 from edgeclust.core import SampleSet
 from edgeclust.edge_features import (all_pairs, build_edge_features,
                                      canonical_kind, pca_fit, pca_transform,
-                                     sample_labeled_pairs)
+                                     sample_labeled_pairs, sample_ranks,
+                                     unrank_pairs)
 from edgeclust.errors import ConfigError, DataError
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
@@ -102,6 +103,26 @@ class TestSampleLabeledPairs:
         b = sample_labeled_pairs(s, 50, np.random.default_rng(42))
         assert np.array_equal(a.same_vectors, b.same_vectors)
         assert np.array_equal(a.diff_vectors, b.diff_vectors)
+
+
+class TestPairRanks:
+    def test_unranking_matches_all_pairs(self):
+        for n in range(61):
+            ranks = np.arange(n * (n - 1) // 2)
+            assert np.array_equal(unrank_pairs(n, ranks), all_pairs(n)), n
+
+    def test_large_draw(self, rng):
+        n, m = 4000, 20000  # C(n, 2) is about 8M
+        pairs = unrank_pairs(n, sample_ranks(n * (n - 1) // 2, m, rng))
+        assert pairs.shape == (m, 2)
+        assert np.all((0 <= pairs[:, 0]) & (pairs[:, 0] < pairs[:, 1])
+                      & (pairs[:, 1] < n))
+        assert len(np.unique(pairs, axis=0)) == m
+
+    def test_every_rank_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        assert np.array_equal(sample_ranks(10, 12, rng), np.arange(10))
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestPca:

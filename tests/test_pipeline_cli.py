@@ -90,6 +90,7 @@ class TestRunPipeline:
         assert rep.certificate is None
         assert rep.scores["structured"]["nmi"] == pytest.approx(1.0)
 
+    @pytest.mark.slow
     def test_crossbones_default_learns_k(self):
         # the cluster count is never supplied, yet the default config
         # recovers k = 2 on every seed
@@ -227,10 +228,12 @@ class TestCli:
                                   algo, "--seed", "3", "--out", str(labels),
                                   "--certificate", str(cert)])
         assert res.exit_code == 0, res.output
+        certified = tmp_path / "certify.json"
         res = runner.invoke(cli, ["certify", "--graph", str(graph),
-                                  "--labels", str(labels)])
+                                  "--labels", str(labels),
+                                  "--out", str(certified)])
         assert res.exit_code == 0, res.output
-        assert json.loads(cert.read_text()) == json.loads(res.output)
+        assert cert.read_bytes() == certified.read_bytes()
 
     @pytest.mark.parametrize("row", ["-1,3,0", "3,3,1"])
     def test_fit_rejects_bad_pair_indices(self, tmp_path, monkeypatch, row):
@@ -323,12 +326,37 @@ class TestCli:
         assert exit_code(monkeypatch, [
             "pipeline", "--kind", "blobs", "--seed", "1", "--holdout", "10",
             "--train-pool", "20", "--pairs", "100", "--sparsify", "-1"]) == 2
-        # a training pool below 0, or below 2 for synthetic data, is a config
-        # error rather than a failure inside the data stage
-        for pool in ("-5", "0"):
+        # a training pool that cannot hold a pair of each kind (below 3;
+        # 0 only means "every row" for a CSV) and a knn below 1 are config
+        # errors rather than failures inside the data or score stage
+        for pool in ("-5", "0", "1", "2"):
             assert exit_code(monkeypatch, [
                 "pipeline", "--kind", "crossbones", "--seed", "1",
                 "--holdout", "10", "--train-pool", pool]) == 2
+        for pool in ("1", "2"):
+            assert exit_code(monkeypatch, [
+                "pipeline", "--data", str(data), "--seed", "1",
+                "--holdout", "10", "--train-pool", pool]) == 2
+        assert exit_code(monkeypatch, [
+            "pipeline", "--kind", "blobs", "--seed", "1", "--holdout", "10",
+            "--train-pool", "20", "--pairs", "100", "--knn", "0"]) == 2
+        # malformed edge specs are config errors
+        spec = tmp_path / "spec.json"
+        gauss_no_sigma = {"kind": "gaussian", "mean": [0.0]}
+        for text in ("{", "[1, 2]",
+                     json.dumps({"sizes": [4, 4], "p0": DISJOINT_SPEC["p0"]}),
+                     json.dumps(dict(DISJOINT_SPEC, p1=gauss_no_sigma)),
+                     json.dumps(dict(DISJOINT_SPEC, sizes="ab"))):
+            spec.write_text(text)
+            assert exit_code(monkeypatch, [
+                "pipeline", "--edge-spec", str(spec), "--seed", "1"]) == 2, text
+        # a model file that is not an .npz, or lacks a key, is a data error
+        broken = tmp_path / "broken.npz"
+        np.savez(broken, similarity=np.array("abs_diff"))
+        for bad_model in (data, broken):
+            assert exit_code(monkeypatch, [
+                "graph", "--data", str(data), "--model", str(bad_model),
+                "--out", str(tmp_path / "g.tsv")]) == 3
         # an LP that runs out of constraint-generation rounds -> 4
         graph = tmp_path / "triangle.tsv"
         graph.write_text("0\t1\t+1\t1\n0\t2\t+1\t1\n1\t2\t-1\t1\n")
