@@ -6,9 +6,8 @@ the signed log-odds graph, and solve it with LP rounding.
 """
 from .core import (Partition, SampleSet, ScoreReport, co_membership, nmi,
                    score, validate_partition)
-from .edge_features import (EdgeFeatureSet, LabeledPairSet, PcaModel,
-                            edge_vectors, pca_fit, pca_transform,
-                            sample_labeled_pairs)
+from .edge_features import (EdgeFeatureSet, PcaModel, edge_vectors, pca_fit,
+                            pca_transform, sample_labeled_pairs)
 from .density import (DensityModel, SignedWeightedGraph, build_signed_graph,
                       kde_fit)
 from .corrclust import (FractionalMetric, SolveCertificate, brute_force_optimum,

@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import Partition, co_membership
+from .corrclust import _disagreements, disagreement_cost
 from .density import SignedWeightedGraph
 from .edge_features import EdgeFeatureSet
 from .errors import DataError
@@ -54,8 +55,7 @@ def log_likelihood(p: Partition, features: EdgeFeatureSet, p1, p0) -> Likelihood
     ll_theta = float(np.sum(np.where(theta, l1, l0)))
     ll_g0 = float(np.sum(np.maximum(l1, l0)))
     r = l1 - l0
-    disagree = np.where(theta, r < 0, r > 0)
-    term = float(np.sum(np.abs(r[disagree])))
+    term = float(_disagreements(r > 0, np.abs(r), theta))
     return LikelihoodReport(log_likelihood_theta=ll_theta,
                             log_likelihood_g0=ll_g0,
                             disagreement_term=term)
@@ -64,7 +64,6 @@ def log_likelihood(p: Partition, features: EdgeFeatureSet, p1, p0) -> Likelihood
 def empirical_dis(g: SignedWeightedGraph, truth: Partition) -> float:
     """Disagreement cost of the log-odds graph against the true partition:
     the quantity whose expectation the restricted-KL formula computes."""
-    from .corrclust import disagreement_cost
     return disagreement_cost(g, truth)
 
 

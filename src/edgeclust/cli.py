@@ -15,7 +15,7 @@ import numpy as np
 
 from . import corrclust
 from .baselines import SpectralConfig, kmeans, spectral
-from .core import (SampleSet, parse_lines, read_lines, score,
+from .core import (SampleSet, parse_lines, read_lines, report_json, score,
                    validate_partition, write_lines)
 from .datagen import (SYNTHETIC_KINDS, load_csv, load_labeled_pairs, save_csv,
                       save_labeled_pairs)
@@ -43,9 +43,9 @@ def _parse_pca(value):
 
 
 def _emit(report: dict, out):
-    """Write a report as sorted, indented JSON plus a newline to the file
-    ``out``, or echo it."""
-    text = json.dumps(report, sort_keys=True, indent=2)
+    """Write a report's JSON plus a newline to the file ``out``, or echo
+    it."""
+    text = report_json(report)
     if out:
         write_lines(out, [text])
     else:
@@ -101,7 +101,7 @@ def fit(data, pairs_file, similarity, pca, out):
     s = load_csv(data, has_labels=True)
     idx, same = load_labeled_pairs(pairs_file)
     vecs = edge_vectors(s.features, idx, similarity)
-    save_model(fit_model(vecs[same], vecs[~same], similarity, target), out)
+    save_model(fit_model(vecs, same, similarity, target), out)
 
 
 @cli.command()

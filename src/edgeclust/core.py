@@ -1,12 +1,13 @@
 """Domain types shared by all modules, partition semantics, clustering
-quality metrics, and the one row reader and line writer behind every text
-file the package reads or writes.
+quality metrics, the one row reader and line writer behind every text
+file the package reads or writes, and the one report JSON writer.
 
 Partitions map node indices 0..n-1 to cluster labels 1..k. All types are
 immutable after construction and all operations are pure functions.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -45,6 +46,15 @@ def parse_lines(path, lines, casts) -> list:
                 raise DataError(f"{path}:{lineno}: column {col}: cannot read "
                                 f"{cell.strip()!r}") from None
     return columns
+
+
+def report_json(report: dict) -> str:
+    """The one JSON form of every report: sorted keys, 2-space indent. A NaN
+    or infinite value raises DataError."""
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise DataError("report contains a non-finite numeric value") from None
 
 
 def write_lines(path, lines) -> None:
@@ -160,15 +170,21 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-np.sum(probs * np.log(probs)))
 
 
+def _contingency(a: Partition, b: Partition) -> np.ndarray:
+    """(a.k, b.k) integer table of the nodes in each pair of clusters."""
+    if a.n != b.n:
+        raise DataError("partitions must cover the same nodes")
+    table = np.zeros((a.k, b.k), dtype=np.int64)
+    np.add.at(table, (a.labels - 1, b.labels - 1), 1)
+    return table
+
+
 def nmi(a: Partition, b: Partition) -> float:
     """Normalized mutual information, arithmetic-mean normalizer, natural log.
 
     Both sides single-cluster is defined as 1.0 (identical up to relabeling).
     """
-    if a.n != b.n:
-        raise DataError("partitions must cover the same nodes")
-    table = np.zeros((a.k, b.k))
-    np.add.at(table, (a.labels - 1, b.labels - 1), 1.0)
+    table = _contingency(a, b)
     n = float(a.n)
     ha = _entropy(table.sum(axis=1))
     hb = _entropy(table.sum(axis=0))
@@ -183,16 +199,12 @@ def nmi(a: Partition, b: Partition) -> float:
 def score(predicted: Partition, truth: Partition) -> ScoreReport:
     """Clustering quality of ``predicted`` against ``truth``.
 
-    Pairwise metrics treat every same-cluster pair as a positive.
+    Pairwise metrics treat every same-cluster pair as a positive; the pairs
+    counted in a cell, row or column of the contingency table are C(count, 2).
     """
-    if predicted.n != truth.n:
-        raise DataError("partitions must cover the same nodes")
-    pairs = np.column_stack(np.triu_indices(predicted.n, k=1))
-    pred_same = co_membership(predicted, pairs)
-    true_same = co_membership(truth, pairs)
-    tp = float(np.sum(pred_same & true_same))
-    pred_pos = float(np.sum(pred_same))
-    true_pos = float(np.sum(true_same))
+    table = _contingency(predicted, truth)
+    tp, pred_pos, true_pos = (int(np.sum(c * (c - 1) // 2)) for c in
+                              (table, table.sum(axis=1), table.sum(axis=0)))
     precision = tp / pred_pos if pred_pos > 0 else 0.0
     recall = tp / true_pos if true_pos > 0 else 0.0
     f1 = (2 * precision * recall / (precision + recall)

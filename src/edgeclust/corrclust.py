@@ -184,19 +184,22 @@ def round_regions(m: FractionalMetric, g: SignedWeightedGraph) -> Partition:
     cluster_of = np.zeros(a, dtype=int)
     next_label = 0
 
-    def cut_and_volume(u, ball, radius):
-        """Positive cut of the ball and its LP volume at the given radius,
-        both restricted to unassigned nodes."""
+    def first_fit(u, balls, radii):
+        """The first ball whose positive cut is at most the factor times its
+        LP volume at the paired radius, both over unassigned nodes; None if
+        no ball fits."""
         live = unassigned[pi] & unassigned[pj]
-        in_i, in_j = ball[pi], ball[pj]
-        crossing = live & (in_i ^ in_j)
-        inside = live & in_i & in_j
-        cut = pc[crossing].sum()
-        vol = f_seed + np.sum(pc[inside] * x[pi[inside], pj[inside]])
-        if crossing.any():
-            anchor = np.where(in_i[crossing], pi[crossing], pj[crossing])
-            vol += np.sum(pc[crossing] * np.clip(radius - x[u, anchor], 0.0, None))
-        return float(cut), float(vol)
+        for ball, radius in zip(balls, radii):
+            in_i, in_j = ball[pi], ball[pj]
+            crossing = live & (in_i ^ in_j)
+            inside = live & in_i & in_j
+            vol = f_seed + np.sum(pc[inside] * x[pi[inside], pj[inside]])
+            if crossing.any():
+                anchor = np.where(in_i[crossing], pi[crossing], pj[crossing])
+                vol += np.sum(pc[crossing] * np.clip(radius - x[u, anchor], 0.0, None))
+            if pc[crossing].sum() <= factor * vol + 1e-12:
+                return ball
+        return None
 
     while unassigned.any():
         u = int(np.flatnonzero(unassigned)[0])
@@ -204,21 +207,12 @@ def round_regions(m: FractionalMetric, g: SignedWeightedGraph) -> Partition:
         candidates = dists[unassigned & (dists < 0.5)]
         radii = np.unique(np.concatenate([[0.0], candidates]))
         balls = [unassigned & (dists <= r) for r in radii]
-        chosen = None
-        for t, r in enumerate(radii):  # test at the candidate radii first
-            cut, vol = cut_and_volume(u, balls[t], r)
-            if cut <= factor * vol + 1e-12:
-                chosen = balls[t]
-                break
+        # test at the candidate radii first, then retry at each interval's
+        # upper end, where the volume is largest; the region-growing
+        # guarantee holds somewhere below 1/2
+        chosen = first_fit(u, balls, radii)
         if chosen is None:
-            # retry at each interval's upper end, where the volume is largest;
-            # the region-growing guarantee holds somewhere below 1/2
-            sups = np.append(radii[1:], 0.5)
-            for t, r_sup in enumerate(sups):
-                cut, vol = cut_and_volume(u, balls[t], r_sup)
-                if cut <= factor * vol + 1e-12:
-                    chosen = balls[t]
-                    break
+            chosen = first_fit(u, balls, np.append(radii[1:], 0.5))
         if chosen is None:
             chosen = unassigned & (dists < 0.5)
             chosen[u] = True

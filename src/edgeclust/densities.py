@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import numpy as np
+from scipy.special import logsumexp
 
 from .errors import ConfigError, DataError
 
@@ -13,9 +14,11 @@ LOG_FLOOR = float(np.log(1e-20))  # ~ -46.05
 
 
 def _as_matrix(x, d: int) -> np.ndarray:
+    """Query points of dimension d as an (m, d) matrix; a flat query holds
+    size/d points. Every logpdf_many coerces its queries here."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, d) if d == 1 or x.size != d else x.reshape(1, d)
+    if x.ndim == 1 and x.size % d == 0:
+        x = x.reshape(-1, d)
     if x.ndim != 2 or x.shape[1] != d:
         raise DataError(f"expected points of dimension {d}")
     return x
@@ -115,9 +118,7 @@ class MixtureDensity:
     def logpdf_many(self, x) -> np.ndarray:
         x = _as_matrix(x, self.d)
         logs = np.stack([c.logpdf_many(x) for c in self.components], axis=1)
-        logs = logs + np.log(self.weights)
-        top = logs.max(axis=1)
-        return top + np.log(np.sum(np.exp(logs - top[:, None]), axis=1))
+        return logsumexp(logs, axis=1, b=self.weights)
 
 
 def parse_density(spec: dict):

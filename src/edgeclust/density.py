@@ -4,12 +4,13 @@ signed graph the clustering step consumes."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .core import check_pairs, parse_lines, read_lines, write_lines
-from .densities import LOG_FLOOR
+from .densities import LOG_FLOOR, _as_matrix
 from .edge_features import EdgeFeatureSet
 from .errors import ConfigError, DataError
 
@@ -43,11 +44,7 @@ class DensityModel:
         return self.training_points.shape[0]
 
     def logpdf_many(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(1, -1)
-        if x.shape[1] != self.d:
-            raise DataError(f"query dimension {x.shape[1]} != model dimension {self.d}")
+        x = _as_matrix(x, self.d)
         const = (-np.sum(np.log(self.bandwidths * np.sqrt(2.0 * np.pi)))
                  - np.log(self.m))
         out = np.empty(x.shape[0])
@@ -77,9 +74,10 @@ def kde_fit(vectors: np.ndarray) -> DensityModel:
 @dataclass(frozen=True)
 class SignedWeightedGraph:
     """Log-odds graph: per-edge sign in {+1,-1} with nonnegative cost, plus
-    the pairs sparsified away (zero or below-threshold cost)."""
+    the pairs sparsified away (zero or below-threshold cost). With n None the
+    node count is one past the largest node id in any pair."""
 
-    n: int
+    n: Optional[int]
     pairs: np.ndarray    # (m, 2) int, kept edges
     signs: np.ndarray    # (m,) in {+1, -1}
     costs: np.ndarray    # (m,) finite, >= 0
@@ -96,9 +94,13 @@ class SignedWeightedGraph:
             raise DataError("kept edge signs must be +1 or -1")
         if np.any(~np.isfinite(costs)) or np.any(costs < 0):
             raise DataError("costs must be finite and nonnegative")
-        every = check_pairs(np.vstack([pairs, dropped]), self.n)
-        if len(every) != len(np.unique(every, axis=0)):
+        every = np.vstack([pairs, dropped])
+        n = self.n
+        if n is None:
+            n = int(every.max()) + 1 if len(every) else 0
+        if len(check_pairs(every, n)) != len(np.unique(every, axis=0)):
             raise DataError("a pair appears more than once")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "costs", costs)
@@ -117,8 +119,6 @@ def build_signed_graph(features: EdgeFeatureSet, p1, p0,
     sparsification threshold (including exact ties P1 = P0) are dropped."""
     if sparsify_below < 0:
         raise ConfigError("sparsify threshold must be >= 0")
-    if n is None:
-        n = int(features.pairs.max()) + 1 if len(features) else 0
     r = p1.logpdf_many(features.vectors) - p0.logpdf_many(features.vectors)
     r = np.clip(r, -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP)
     costs = np.abs(r)
@@ -143,8 +143,5 @@ def write_graph_tsv(g: SignedWeightedGraph, path) -> None:
 def read_graph_tsv(path, n: int = None) -> SignedWeightedGraph:
     i, j, signs, costs = parse_lines(path, read_lines(path, "\t"),
                                      (int, int, int, float))
-    pairs = np.column_stack([i, j]).astype(int)
-    if n is None:
-        n = int(pairs.max()) + 1 if len(pairs) else 0
-    return SignedWeightedGraph(n=n, pairs=pairs, signs=np.array(signs, dtype=int),
-                               costs=np.array(costs, dtype=float))
+    return SignedWeightedGraph(n=n, pairs=np.column_stack([i, j]), signs=signs,
+                               costs=costs)

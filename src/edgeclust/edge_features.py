@@ -57,14 +57,6 @@ class EdgeFeatureSet:
 
 
 @dataclass(frozen=True)
-class LabeledPairSet:
-    """Training edge vectors split by the ground-truth co-membership bit."""
-
-    same_vectors: np.ndarray  # (m1, d)
-    diff_vectors: np.ndarray  # (m0, d)
-
-
-@dataclass(frozen=True)
 class PcaModel:
     mean: np.ndarray
     components: np.ndarray          # (d, r), orthonormal columns
@@ -134,12 +126,11 @@ def sample_pairs(s: SampleSet, m: int, rng: np.random.Generator):
 
 
 def sample_labeled_pairs(s: SampleSet, m: int, rng: np.random.Generator,
-                         kind: str = "abs_diff") -> LabeledPairSet:
-    """Draw m pairs with sample_pairs, compute edge vectors, and split them
-    by the ground-truth co-membership indicator."""
+                         kind: str = "abs_diff"):
+    """Draw m pairs with sample_pairs; returns their edge vectors and
+    ground-truth co-membership bits."""
     pairs, same = sample_pairs(s, m, rng)
-    vecs = edge_vectors(s.features, pairs, kind)
-    return LabeledPairSet(same_vectors=vecs[same], diff_vectors=vecs[~same])
+    return edge_vectors(s.features, pairs, kind), same
 
 
 def pca_fit(vectors: np.ndarray, variance_target: float = 0.95) -> PcaModel:

@@ -5,7 +5,6 @@ The stage functions here (synthetic data, model fit, save/load and
 projection, clustering) are also what the CLI subcommands run."""
 from __future__ import annotations
 
-import json
 import time
 import zipfile
 from dataclasses import asdict, dataclass
@@ -15,7 +14,8 @@ import numpy as np
 
 from . import corrclust
 from .baselines import SpectralConfig, kmeans, spectral
-from .core import SampleSet, co_membership, score, validate_partition
+from .core import (SampleSet, co_membership, report_json, score,
+                   validate_partition)
 from .datagen import (SYNTHETIC_KINDS, EdgeLevelSpec, SyntheticSpec,
                       gen_edge_level, gen_synthetic, load_csv)
 from .density import DensityModel, build_signed_graph, kde_fit
@@ -47,8 +47,7 @@ class RunConfig:
     noise: float = SyntheticSpec.noise
     baselines: bool = False
     knn: int = SpectralConfig.knn
-    csv_has_labels: bool = True
-    edge_spec: Optional[dict] = None  # sizes + p1/p0 density descriptors
+    edge_spec: Optional[dict] = None  # edge_level only: sizes, p1, p0
 
     def __post_init__(self):
         object.__setattr__(self, "similarity", canonical_kind(self.similarity))
@@ -67,6 +66,14 @@ class RunConfig:
                               "every non-hold-out row)")
         if self.knn < 1:
             raise ConfigError("knn must be >= 1")
+        edge_level = self.dataset == "edge_level"
+        if (self.edge_spec is not None) != edge_level:
+            raise ConfigError("edge_spec is given exactly when the dataset "
+                              "is edge_level")
+        if edge_level and not (isinstance(self.edge_spec, dict) and
+                               {"sizes", "p1", "p0"} <= set(self.edge_spec)):
+            raise ConfigError("edge_level dataset needs an edge_spec object "
+                              "with sizes, p1 and p0")
 
 
 @dataclass(frozen=True)
@@ -86,7 +93,7 @@ class ResultsReport:
         return out
 
     def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2)
+        return report_json(self.to_dict(include_timing))
 
 
 def _stage(name, timing, fn):
@@ -126,10 +133,13 @@ class EdgeModel:
                               vectors=pca_transform(self.pca, features.vectors))
 
 
-def fit_model(same_vecs: np.ndarray, diff_vecs: np.ndarray, similarity: str,
+def fit_model(vectors: np.ndarray, same, similarity: str,
               pca: Optional[float] = None) -> EdgeModel:
-    """KDE fits of P1 and P0 on labeled training edge vectors, after a PCA
-    with variance target ``pca`` fitted on both sides together."""
+    """KDE fits of P1 on the training edge vectors whose co-membership bit
+    ``same`` is set and of P0 on the rest, after a PCA with variance target
+    ``pca`` fitted on both sides together."""
+    same = np.asarray(same, dtype=bool)
+    same_vecs, diff_vecs = vectors[same], vectors[~same]
     if same_vecs.shape[0] < 2 or diff_vecs.shape[0] < 2:
         raise DataError("need >= 2 same-cluster and >= 2 cross-cluster "
                         "training pairs; increase the pair budget")
@@ -203,9 +213,7 @@ def _prepare_node_level(cfg: RunConfig, rng: np.random.Generator):
         full = synthetic_data(cfg.dataset, cfg.train_pool + cfg.holdout,
                               cfg.k, cfg.noise, rng)
     else:
-        full = load_csv(cfg.dataset, has_labels=cfg.csv_has_labels)
-        if full.labels is None:
-            raise DataError("training pairs need labeled data")
+        full = load_csv(cfg.dataset, has_labels=True)
         if full.n < cfg.holdout + 2:
             raise DataError("dataset too small for the requested hold-out size")
     perm = rng.permutation(full.n)
@@ -222,11 +230,10 @@ def _prepare_node_level(cfg: RunConfig, rng: np.random.Generator):
 
 def _edge_level_pairs(features: EdgeFeatureSet, truth, m: int,
                       rng: np.random.Generator):
-    """Training edge vectors: a uniform subsample of m generated edges,
-    split by the planted partition."""
+    """Training edge vectors, a uniform subsample of m generated edges, and
+    their co-membership bits under the planted partition."""
     chosen = sample_ranks(len(features), m, rng)
-    same = co_membership(truth, features.pairs[chosen])
-    return features.vectors[chosen][same], features.vectors[chosen][~same]
+    return features.vectors[chosen], co_membership(truth, features.pairs[chosen])
 
 
 def _scores(cfg: RunConfig, partition, truth, holdout_set,
@@ -248,32 +255,27 @@ def run_pipeline(cfg: RunConfig) -> ResultsReport:
 
     if cfg.dataset == "edge_level":
         spec = cfg.edge_spec
-        if not isinstance(spec, dict) or not {"sizes", "p1", "p0"} <= set(spec):
-            raise ConfigError("edge_level dataset needs an edge_spec object "
-                              "with sizes, p1 and p0")
         spec = EdgeLevelSpec(sizes=spec["sizes"], p1=parse_density(spec["p1"]),
                              p0=parse_density(spec["p0"]))
         features, truth = _stage("data", timing, lambda: gen_edge_level(spec, rng))
         holdout_set = None
-        same_vecs, diff_vecs = _stage(
+        vectors, same = _stage(
             "pairs", timing,
             lambda: _edge_level_pairs(features, truth, cfg.pairs, rng))
     else:
         train, holdout_set = _stage("data", timing,
                                     lambda: _prepare_node_level(cfg, rng))
         truth = validate_partition(holdout_set.labels)
-        training = _stage(
+        vectors, same = _stage(
             "pairs", timing,
             lambda: sample_labeled_pairs(train, cfg.pairs, rng, cfg.similarity))
-        same_vecs, diff_vecs = training.same_vectors, training.diff_vectors
         features = _stage(
             "edges", timing,
             lambda: build_edge_features(holdout_set, all_pairs(holdout_set.n),
                                         cfg.similarity))
 
     model = _stage("fit", timing,
-                   lambda: fit_model(same_vecs, diff_vecs, cfg.similarity,
-                                     cfg.pca))
+                   lambda: fit_model(vectors, same, cfg.similarity, cfg.pca))
     features = model.project(features)
 
     graph = _stage("graph", timing,
@@ -297,16 +299,5 @@ def run_pipeline(cfg: RunConfig) -> ResultsReport:
         likelihood=likelihood,
         timing={k: float(v) for k, v in timing.items()},
     )
-    _check_finite(report.to_dict(include_timing=False))
+    report.to_json()  # DataError on a non-finite value
     return report
-
-
-def _check_finite(obj):
-    if isinstance(obj, dict):
-        for v in obj.values():
-            _check_finite(v)
-    elif isinstance(obj, list):
-        for v in obj:
-            _check_finite(v)
-    elif isinstance(obj, float) and not np.isfinite(obj):
-        raise DataError("report contains a non-finite numeric value")

@@ -45,9 +45,9 @@ def test_criterion_1_eq2_identity():
     worst = 0.0
     for _ in range(100):
         s = gen_synthetic(SyntheticSpec(kind="blobs", n=30, k=2, noise=0.5), rng)
-        lp = sample_labeled_pairs(s, 200, rng)
-        p1 = kde_fit(lp.same_vectors)
-        p0 = kde_fit(lp.diff_vectors)
+        vecs, same = sample_labeled_pairs(s, 200, rng)
+        p1 = kde_fit(vecs[same])
+        p0 = kde_fit(vecs[~same])
         idx = np.sort(rng.choice(s.n, 6, replace=False))
         sub = SampleSet(features=s.features[idx],
                         labels=validate_partition(s.labels[idx]).labels)

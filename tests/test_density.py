@@ -1,5 +1,8 @@
-"""KDE fitting, log-odds, and signed-graph construction."""
+"""KDE fitting, the density query contract, log-odds, and signed-graph
+construction."""
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +11,24 @@ from hypothesis import strategies as st
 
 from conftest import StepDensity, make_graph
 from edgeclust.datagen import EdgeLevelSpec, gen_edge_level
-from edgeclust.densities import LOG_FLOOR, UniformBoxDensity
+from edgeclust.densities import (LOG_FLOOR, GaussianDensity, MixtureDensity,
+                                 UniformBoxDensity)
 from edgeclust.density import (DensityModel, LOG_ODDS_CLAMP,
-                               build_signed_graph, kde_fit, read_graph_tsv,
-                               write_graph_tsv)
-from edgeclust.edge_features import EdgeFeatureSet
+                               SignedWeightedGraph, build_signed_graph,
+                               kde_fit, read_graph_tsv, write_graph_tsv)
+from edgeclust.edge_features import EdgeFeatureSet, all_pairs
 from edgeclust.errors import DataError
+
+# one density of each kind in dimension d
+DENSITIES = {
+    "kde": lambda d: kde_fit(np.arange(4.0 * d).reshape(4, d) ** 2),
+    "gaussian": lambda d: GaussianDensity(mean=np.zeros(d), sigma=np.ones(d)),
+    "uniform": lambda d: UniformBoxDensity(low=np.zeros(d),
+                                           high=np.full(d, 4.0)),
+    "mixture": lambda d: MixtureDensity(components=(
+        GaussianDensity(mean=np.zeros(d), sigma=np.ones(d)),
+        UniformBoxDensity(low=np.zeros(d), high=np.full(d, 4.0)))),
+}
 
 
 def log_odds(p1, p0, xs):
@@ -52,6 +67,20 @@ class TestKdeFit:
         val = model.logpdf_many(np.array([0.0]))[0]
         assert np.isfinite(val)
         assert val >= LOG_FLOOR
+
+
+@pytest.mark.parametrize("kind", sorted(DENSITIES))
+def test_flat_query_holds_size_over_d_points(kind):
+    """Every logpdf_many reads a flat query as size/d points, and raises
+    DataError when d does not divide its size."""
+    one = DENSITIES[kind](1)
+    assert np.array_equal(one.logpdf_many([1.0, 2.0, 3.0]),
+                          one.logpdf_many([[1.0], [2.0], [3.0]]))
+    two = DENSITIES[kind](2)
+    assert np.array_equal(two.logpdf_many([1.0, 2.0, 3.0, 0.5]),
+                          two.logpdf_many([[1.0, 2.0], [3.0, 0.5]]))
+    with pytest.raises(DataError):
+        two.logpdf_many([1.0, 2.0, 3.0])
 
 
 class TestKdeLogpdf:
@@ -197,6 +226,31 @@ class TestGraphValidationAndTsv:
         assert np.array_equal(back.pairs, g.pairs)
         assert np.array_equal(back.signs, g.signs)
         assert np.allclose(back.costs, g.costs)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_tsv_round_trip_property(self, data):
+        n = data.draw(st.integers(0, 7))
+        every = all_pairs(n)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(every),
+                                  max_size=len(every)))
+        pairs = every[np.array(keep, dtype=bool)]
+        m = len(pairs)
+        signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=m,
+                                   max_size=m))
+        costs = data.draw(st.lists(st.floats(0.0, 1e300), min_size=m,
+                                   max_size=m))
+        g = SignedWeightedGraph(n=n, pairs=pairs, signs=signs, costs=costs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.tsv"
+            write_graph_tsv(g, path)
+            back = read_graph_tsv(path, n=n)
+            inferred = read_graph_tsv(path)
+        assert back.n == n
+        assert np.array_equal(back.pairs, g.pairs)
+        assert np.array_equal(back.signs, g.signs)
+        assert np.array_equal(back.costs, g.costs)
+        assert inferred.n == (int(pairs.max()) + 1 if m else 0)
 
     def test_tsv_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -74,9 +74,9 @@ class TestSampleLabeledPairs:
     def test_exhaustive_small_case(self, rng):
         s = SampleSet(features=np.arange(8, dtype=float).reshape(4, 2),
                       labels=[1, 1, 2, 2])
-        lp = sample_labeled_pairs(s, 6, rng)
-        assert lp.same_vectors.shape[0] == 2
-        assert lp.diff_vectors.shape[0] == 4
+        vecs, same = sample_labeled_pairs(s, 6, rng)
+        assert vecs[same].shape[0] == 2
+        assert vecs[~same].shape[0] == 4
 
     def test_zero_pairs_rejected(self, rng):
         s = SampleSet(features=np.zeros((4, 1)), labels=[1, 1, 2, 2])
@@ -87,8 +87,8 @@ class TestSampleLabeledPairs:
         feats = rng.normal(size=(100, 3))
         labels = np.repeat([1, 2], 50)
         s = SampleSet(features=feats, labels=labels)
-        lp = sample_labeled_pairs(s, 5000, rng)
-        assert lp.same_vectors.shape[0] + lp.diff_vectors.shape[0] == 4950
+        vecs, same = sample_labeled_pairs(s, 5000, rng)
+        assert vecs[same].shape[0] + vecs[~same].shape[0] == 4950
 
     def test_unlabeled_rejected(self, rng):
         s = SampleSet(features=np.zeros((4, 1)))
@@ -99,10 +99,10 @@ class TestSampleLabeledPairs:
         feats = np.random.default_rng(3).normal(size=(30, 2))
         labels = np.repeat([1, 2, 3], 10)
         s = SampleSet(features=feats, labels=labels)
-        a = sample_labeled_pairs(s, 50, np.random.default_rng(42))
-        b = sample_labeled_pairs(s, 50, np.random.default_rng(42))
-        assert np.array_equal(a.same_vectors, b.same_vectors)
-        assert np.array_equal(a.diff_vectors, b.diff_vectors)
+        va, sa = sample_labeled_pairs(s, 50, np.random.default_rng(42))
+        vb, sb = sample_labeled_pairs(s, 50, np.random.default_rng(42))
+        assert np.array_equal(va[sa], vb[sb])
+        assert np.array_equal(va[~sa], vb[~sb])
 
 
 class TestPairRanks:

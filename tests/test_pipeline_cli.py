@@ -1,16 +1,23 @@
-"""End-to-end pipeline, report determinism, plotting, and the CLI surface."""
+"""End-to-end pipeline, report determinism, plotting, the CLI surface, and
+file round trips."""
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from edgeclust import corrclust
-from edgeclust.cli import cli, main
-from edgeclust.core import SampleSet, validate_partition
+from edgeclust.cli import _read_labels, cli, main
+from edgeclust.core import SampleSet, report_json, validate_partition, write_lines
 from edgeclust.errors import ConfigError, DataError
-from edgeclust.pipeline import RunConfig, run_pipeline
+from edgeclust.pipeline import (ResultsReport, RunConfig, fit_model, load_model,
+                                run_pipeline, save_model)
 from edgeclust.plotting import render_svg
 
 DISJOINT_SPEC = {
@@ -52,6 +59,27 @@ class TestRunConfig:
 
     def test_alias_canonicalized(self):
         assert small_cfg(similarity="euclid").similarity == "euclidean"
+
+    def test_edge_spec_given_exactly_for_edge_level(self):
+        with pytest.raises(ConfigError):
+            small_cfg(edge_spec=DISJOINT_SPEC)
+        for spec in (None, [1, 2], {"sizes": [4, 4], "p1": DISJOINT_SPEC["p1"]}):
+            with pytest.raises(ConfigError):
+                RunConfig(dataset="edge_level", seed=1, edge_spec=spec)
+
+
+class TestReportJson:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_value_rejected(self, value):
+        rep = ResultsReport(config={"seed": 1}, labels=[1, 2], k_predicted=2,
+                            scores={"structured": {"nmi": 1.0}},
+                            certificate=None,
+                            likelihood={"disagreement_term": value}, timing={})
+        with pytest.raises(DataError):
+            rep.to_json(include_timing=False)
+        with pytest.raises(DataError):
+            report_json({"nested": [[1.0, value]]})
 
 
 class TestRunPipeline:
@@ -346,7 +374,7 @@ class TestCli:
         for text in ("{", "[1, 2]",
                      json.dumps({"sizes": [4, 4], "p0": DISJOINT_SPEC["p0"]}),
                      json.dumps(dict(DISJOINT_SPEC, p1=gauss_no_sigma)),
-                     json.dumps(dict(DISJOINT_SPEC, sizes="ab"))):
+                     json.dumps(dict(DISJOINT_SPEC, sizes="ab")), "null", "{}"):
             spec.write_text(text)
             assert exit_code(monkeypatch, [
                 "pipeline", "--edge-spec", str(spec), "--seed", "1"]) == 2, text
@@ -364,3 +392,36 @@ class TestCli:
         assert exit_code(monkeypatch, [
             "cluster", "--graph", str(graph),
             "--out", str(tmp_path / "labels.txt")]) == 4
+
+
+class TestRoundTrips:
+    @given(st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=30))
+    @settings(max_examples=40, deadline=None)
+    def test_labels_file(self, labels):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "labels.txt"
+            write_lines(path, map(str, labels))
+            assert _read_labels(path).tolist() == labels
+
+    @pytest.mark.filterwarnings("ignore:all rows identical")
+    @given(arrays(float, st.tuples(st.integers(4, 12), st.integers(1, 3)),
+                  elements=st.floats(-1e3, 1e3)),
+           st.sampled_from([None, 0.5, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_model_file(self, vectors, pca):
+        same = np.arange(len(vectors)) % 2 == 0
+        model = fit_model(vectors, same, "absdiff", pca)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.npz"
+            save_model(model, path)
+            back = load_model(path)
+        assert back.similarity == model.similarity
+        for side in ("p1", "p0"):
+            for field in ("training_points", "bandwidths"):
+                assert np.array_equal(getattr(getattr(back, side), field),
+                                      getattr(getattr(model, side), field))
+        assert (back.pca is None) == (pca is None)
+        if pca is not None:
+            for field in ("mean", "components", "explained_variance"):
+                assert np.array_equal(getattr(back.pca, field),
+                                      getattr(model.pca, field))
