@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import check_pairs, parse_lines, read_lines, write_lines
 from .densities import LOG_FLOOR, _as_matrix
@@ -15,7 +14,8 @@ from .edge_features import EdgeFeatureSet
 from .errors import ConfigError, DataError
 
 LOG_ODDS_CLAMP = 50.0
-_QUERY_CHUNK = 256
+# kernel values held at once by logpdf_many: 512 KiB of doubles for any m
+_CHUNK_ELEMENTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -27,11 +27,13 @@ class DensityModel:
 
     def __post_init__(self):
         pts = np.asarray(self.training_points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise DataError("training points must be a nonempty matrix")
+        if pts.ndim != 2 or pts.shape[0] < 1 or not np.all(np.isfinite(pts)):
+            raise DataError("training points must be a nonempty finite matrix")
         bw = np.asarray(self.bandwidths, dtype=float)
-        if bw.shape != (pts.shape[1],) or np.any(bw <= 0):
-            raise DataError("bandwidths must be positive, one per dimension")
+        if (bw.shape != (pts.shape[1],) or not np.all(np.isfinite(bw))
+                or not np.all(bw > 0)):
+            raise DataError("bandwidths must be finite and positive, one per "
+                            "dimension")
         object.__setattr__(self, "training_points", pts)
         object.__setattr__(self, "bandwidths", bw)
 
@@ -44,16 +46,36 @@ class DensityModel:
         return self.training_points.shape[0]
 
     def logpdf_many(self, x) -> np.ndarray:
+        """log of the mean of the Gaussian kernels at each query, floored at
+        LOG_FLOOR; a NaN query gives NaN."""
         x = _as_matrix(x, self.d)
+        # -|q-p|^2/2 = q.p - |p|^2/2 - |q|^2/2 in bandwidth units, one GEMM
+        # per chunk. Centering at the training mean first keeps |q|^2 and
+        # |p|^2 near the data's own spread, so the expansion cancels no digits
+        # when the data sit far from the origin.
+        mean = self.training_points.mean(axis=0)
+        pts = (self.training_points - mean) / self.bandwidths
+        half_p = 0.5 * np.einsum("md,md->m", pts, pts)
         const = (-np.sum(np.log(self.bandwidths * np.sqrt(2.0 * np.pi)))
                  - np.log(self.m))
+        rows = max(1, _CHUNK_ELEMENTS // self.m)
         out = np.empty(x.shape[0])
-        for start in range(0, x.shape[0], _QUERY_CHUNK):
-            chunk = x[start:start + _QUERY_CHUNK]
-            z = (chunk[:, None, :] - self.training_points[None, :, :]) / self.bandwidths
-            expo = -0.5 * np.einsum("qmd,qmd->qm", z, z)
-            out[start:start + _QUERY_CHUNK] = logsumexp(expo, axis=1) + const
-        return np.maximum(out, LOG_FLOOR)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = (x - mean) / self.bandwidths
+            half_q = 0.5 * np.einsum("qd,qd->q", q, q)
+            for start in range(0, len(q), rows):
+                stop = start + rows
+                expo = q[start:stop] @ pts.T
+                expo -= half_p
+                expo -= half_q[start:stop, None]
+                np.minimum(expo, 0.0, out=expo)
+                top = expo.max(axis=1)
+                expo -= top[:, None]
+                np.exp(expo, out=expo)
+                out[start:stop] = np.log(expo.sum(axis=1)) + top
+        # a query whose squared norm overflows is in every kernel's far tail
+        out[np.isposinf(half_q)] = -np.inf
+        return np.maximum(out + const, LOG_FLOOR)
 
 
 def kde_fit(vectors: np.ndarray) -> DensityModel:
@@ -116,10 +138,15 @@ def build_signed_graph(features: EdgeFeatureSet, p1, p0,
                        n: int = None) -> SignedWeightedGraph:
     """Label every pair by the sign of its log-odds log(P1(e)/P0(e)), clamped
     to +-50, and weight it by the absolute log-odds; pairs at or below the
-    sparsification threshold (including exact ties P1 = P0) are dropped."""
+    sparsification threshold (including exact ties P1 = P0) are dropped. A
+    NaN log-odds is a DataError."""
     if sparsify_below < 0:
         raise ConfigError("sparsify threshold must be >= 0")
     r = p1.logpdf_many(features.vectors) - p0.logpdf_many(features.vectors)
+    nan = np.flatnonzero(np.isnan(r))
+    if len(nan):
+        i, j = features.pairs[nan[0]]
+        raise DataError(f"log-odds is NaN for pair ({i}, {j})")
     r = np.clip(r, -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP)
     costs = np.abs(r)
     signs = np.sign(r).astype(int)

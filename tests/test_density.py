@@ -2,18 +2,20 @@
 construction."""
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from conftest import StepDensity, make_graph
 from edgeclust.datagen import EdgeLevelSpec, gen_edge_level
 from edgeclust.densities import (LOG_FLOOR, GaussianDensity, MixtureDensity,
                                  UniformBoxDensity)
-from edgeclust.density import (DensityModel, LOG_ODDS_CLAMP,
+from edgeclust.density import (_CHUNK_ELEMENTS, DensityModel, LOG_ODDS_CLAMP,
                                SignedWeightedGraph, build_signed_graph,
                                kde_fit, read_graph_tsv, write_graph_tsv)
 from edgeclust.edge_features import EdgeFeatureSet, all_pairs
@@ -68,6 +70,23 @@ class TestKdeFit:
         assert np.isfinite(val)
         assert val >= LOG_FLOOR
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_vector_rejected(self):
+        with pytest.raises(DataError):
+            kde_fit(np.array([[0.0], [1.0], [np.inf]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 0.0])
+    def test_bad_bandwidth_rejected(self, bad):
+        with pytest.raises(DataError):
+            DensityModel(training_points=np.zeros((2, 2)),
+                         bandwidths=np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_training_point_rejected(self, bad):
+        with pytest.raises(DataError):
+            DensityModel(training_points=np.array([[0.0], [bad]]),
+                         bandwidths=np.array([1.0]))
+
 
 @pytest.mark.parametrize("kind", sorted(DENSITIES))
 def test_flat_query_holds_size_over_d_points(kind):
@@ -94,6 +113,66 @@ class TestKdeLogpdf:
         model = DensityModel(training_points=np.array([[0.0]]),
                              bandwidths=np.array([1.0]))
         assert model.logpdf_many(np.array([1e6]))[0] == LOG_FLOOR
+
+    @pytest.mark.parametrize("far", [1e200, -1e200, np.inf])
+    def test_overflowing_distance_clamped(self, far):
+        model = DensityModel(training_points=np.array([[0.0, 1.0], [2.0, 1.0]]),
+                             bandwidths=np.array([1.0, 0.5]))
+        assert model.logpdf_many(np.array([[1.0, far]]))[0] == LOG_FLOOR
+
+    def test_nan_query_gives_nan(self):
+        model = kde_fit(np.array([[0.0, 1.0], [2.0, 0.5]]))
+        out = model.logpdf_many(np.array([[np.nan, 0.0], [1.0, 1.0]]))
+        assert np.isnan(out[0])
+        assert np.isfinite(out[1])
+
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40),
+           d=st.integers(1, 3), offset=st.integers(-10**6, 10**6),
+           spread=st.integers(1, 2**12), constant_column=st.booleans(),
+           extra=st.integers(1, 40))
+    @settings(max_examples=30, deadline=None)
+    @example(seed=0, m=40, d=2, offset=10**6, spread=64,
+             constant_column=True, extra=1)
+    def test_matches_direct_formula(self, seed, m, d, offset, spread,
+                                    constant_column, extra):
+        """logpdf_many equals the broadcast log-sum-exp over every training
+        point to 1e-9, on data far from the origin and with the floored
+        bandwidth of a constant column. Points and queries lie on a 2^-10
+        grid shifted by an integer, so every input is exact."""
+        rng = np.random.default_rng(seed)
+        grid = rng.integers(-spread, spread + 1, size=(m, d))
+        if constant_column:
+            grid[:, 0] = grid[0, 0]
+        pts = offset + grid / 1024.0
+        model = kde_fit(pts) if m >= 2 else DensityModel(
+            training_points=pts, bandwidths=np.full(d, 2.0 ** -6))
+        # more queries than one chunk holds, each near a training point
+        nq = _CHUNK_ELEMENTS // m + extra
+        jitter = rng.integers(-8, 9, size=(nq, d))
+        if constant_column:
+            jitter[:, 0] = 0
+        queries = pts[rng.integers(m, size=nq)] + jitter / 1024.0
+        z = (queries[:, None, :] - pts[None, :, :]) / model.bandwidths
+        want = (logsumexp(-0.5 * np.sum(z * z, axis=2), axis=1)
+                - np.sum(np.log(model.bandwidths * np.sqrt(2.0 * np.pi)))
+                - np.log(m))
+        got = model.logpdf_many(queries)
+        assert np.max(np.abs(got - np.maximum(want, LOG_FLOOR))) <= 1e-9
+
+    def test_memory_bounded_by_chunk(self, rng):
+        """One call holds a fixed budget of kernel values, not a
+        (queries, points, d) tensor: 4,000 x 5,000 in d = 2 peaks well
+        under 8 MB."""
+        model = kde_fit(rng.normal(size=(5000, 2)))
+        queries = rng.normal(size=(4000, 2))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            model.logpdf_many(queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_mixture_symmetry(self):
         model = kde_fit(np.array([[-2.0], [2.0]]))
@@ -195,6 +274,13 @@ class TestBuildSignedGraph:
         for (i, j), sign in zip(g.pairs, g.signs):
             same = truth.labels[i] == truth.labels[j]
             assert (sign > 0) == same
+
+    def test_nan_log_odds_rejected(self):
+        # a NaN density must not read as a below-threshold pair and vanish
+        p1 = StepDensity([0, 2], [np.nan])
+        p0 = StepDensity([0, 2], [-2.0])
+        with pytest.raises(DataError, match=r"\(0, 2\)"):
+            build_signed_graph(self._features([3.0, 1.0]), p1, p0)
 
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(DataError):

@@ -12,7 +12,10 @@ CHANGES.md.
 """
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -148,6 +151,26 @@ def workdir(tmp_path):
 def test_report_matches_golden(name, workdir):
     want = json.loads((GOLDEN / "reports.json").read_text())[name]
     _assert_close(_report(name, workdir), want, name)
+
+
+def test_report_independent_of_blas_threads():
+    """The KDE's matrix products give the same timing-free report bytes with
+    one BLAS thread and with two."""
+    script = ("import json, sys\n"
+              "from edgeclust.pipeline import RunConfig, run_pipeline\n"
+              "cfg = RunConfig(**json.loads(sys.argv[1]))\n"
+              "sys.stdout.write(run_pipeline(cfg).to_json("
+              "include_timing=False))\n")
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", script,
+             json.dumps(CONFIGS["crossbones_pivot"])],
+            env=env, capture_output=True, check=True)
+        reports.append(proc.stdout)
+    assert reports[0] and reports[0] == reports[1]
 
 
 def test_stage_chain_matches_golden(tmp_path):

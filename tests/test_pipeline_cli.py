@@ -381,7 +381,13 @@ class TestCli:
         # a model file that is not an .npz, or lacks a key, is a data error
         broken = tmp_path / "broken.npz"
         np.savez(broken, similarity=np.array("abs_diff"))
-        for bad_model in (data, broken):
+        # so is a model with a non-finite bandwidth, which would otherwise
+        # drop every pair and write an empty graph
+        nan_bw = tmp_path / "nan_bw.npz"
+        with np.load(model) as fitted:
+            np.savez(nan_bw, **dict(fitted, p1_bw=np.full_like(fitted["p1_bw"],
+                                                               np.nan)))
+        for bad_model in (data, broken, nan_bw):
             assert exit_code(monkeypatch, [
                 "graph", "--data", str(data), "--model", str(bad_model),
                 "--out", str(tmp_path / "g.tsv")]) == 3
