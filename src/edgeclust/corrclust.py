@@ -40,18 +40,14 @@ def approximation_factor(n: int) -> float:
 
 @dataclass(frozen=True)
 class FractionalMetric:
-    """LP solution restricted to the kept-edge node set."""
+    """LP solution over every node of the graph; a node that touches no kept
+    edge is at distance 1 from all others."""
 
-    nodes: np.ndarray    # original node ids, ascending
-    x: np.ndarray        # (a, a) symmetric, x_ii = 0, entries in [0, 1]
+    x: np.ndarray        # (n, n) symmetric, x_ii = 0, entries in [0, 1]
     objective: float
 
-    @property
-    def size(self) -> int:
-        return self.nodes.size
-
     def max_triangle_violation(self) -> float:
-        if self.size < 3:
+        if len(self.x) < 3:
             return 0.0
         return float(_triangle_violations(self.x).max())
 
@@ -83,13 +79,6 @@ def disagreement_cost(g: SignedWeightedGraph, p: Partition) -> float:
     return float(_disagreements(g.signs > 0, g.costs, co_membership(p, g.pairs)))
 
 
-def _local_pairs(nodes: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Pairs re-indexed to positions in the ascending id array ``nodes``."""
-    if not np.isin(pairs, nodes).all():
-        raise DataError("the metric's nodes do not cover the graph's kept edges")
-    return np.searchsorted(nodes, pairs)
-
-
 def _triangle_violations(x: np.ndarray) -> np.ndarray:
     """(a, a, a) tensor of x_ij - x_il - x_lj for a symmetric x."""
     return x[:, :, None] - x[:, None, :] - x[None, :, :]
@@ -116,9 +105,12 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     """Solve the metric LP relaxation with lazy triangle-constraint
     generation, adding at most BATCH rows in each of at most MAX_ROUNDS
     rounds; the returned objective is a valid lower bound on the optimal
-    disagreement cost."""
+    disagreement cost. The LP runs over the nodes that touch a kept edge;
+    every other node is at distance 1, so a graph with no kept edges gets
+    the metric 1 - I and objective 0."""
+    metric = 1.0 - np.eye(g.n)
     if g.edge_count == 0:
-        raise DataError("graph has no kept edges")
+        return FractionalMetric(x=metric, objective=0.0)
     nodes = np.unique(g.pairs)
     a = nodes.size
     # variable index for each unordered pair over the active node set
@@ -128,7 +120,7 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     var = np.maximum(var, var.T)
     nvars = iu[0].size
 
-    local = _local_pairs(nodes, g.pairs)
+    local = np.searchsorted(nodes, g.pairs)
     pos = g.signs > 0
     c = np.zeros(nvars)
     c[var[local[:, 0], local[:, 1]]] = np.where(pos, g.costs, -g.costs)
@@ -157,8 +149,8 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
         flat = _violated_triangles(xm, BATCH, TRIANGLE_TOL)
         flat = flat[~np.isin(flat, added)]
         if not flat.size:
-            objective = float(c @ x + const)
-            return FractionalMetric(nodes=nodes, x=xm, objective=objective)
+            metric[np.ix_(nodes, nodes)] = xm
+            return FractionalMetric(x=metric, objective=float(c @ x + const))
         added = np.concatenate([added, flat])
     raise SolverError("lazy triangle generation exceeded its round budget")
 
@@ -169,19 +161,23 @@ def round_regions(m: FractionalMetric, g: SignedWeightedGraph) -> Partition:
     Repeatedly seed at the lowest-indexed unassigned node, sweep radii over
     the distinct LP distances below 1/2, and emit the first ball whose
     positive cut is at most c1*ln(n+1) times its volume (LP volume seeded
-    with F/n). Nodes outside the kept-edge set become singletons.
+    with F/n). A node with no kept edge is at distance 1 from the rest, so
+    its only ball is itself.
     """
     n = g.n
-    a = m.size
+    if m.x.shape != (n, n):
+        raise DataError(f"the metric covers {len(m.x)} nodes, the graph has {n}")
+    if n == 0:
+        raise DataError("the graph has no nodes")
     pos = g.signs > 0
-    pi, pj = _local_pairs(m.nodes, g.pairs)[pos].T
+    pi, pj = g.pairs[pos].T
     pc = g.costs[pos]
     factor = approximation_factor(n)
     f_seed = m.objective / n
     x = m.x
 
-    unassigned = np.ones(a, dtype=bool)
-    cluster_of = np.zeros(a, dtype=int)
+    unassigned = np.ones(n, dtype=bool)
+    labels = np.zeros(n, dtype=int)
     next_label = 0
 
     def first_fit(u, balls, radii):
@@ -217,13 +213,8 @@ def round_regions(m: FractionalMetric, g: SignedWeightedGraph) -> Partition:
             chosen = unassigned & (dists < 0.5)
             chosen[u] = True
         next_label += 1
-        cluster_of[chosen] = next_label
+        labels[chosen] = next_label
         unassigned &= ~chosen
-
-    labels = np.zeros(n, dtype=int)
-    labels[m.nodes] = cluster_of
-    isolated = np.flatnonzero(labels == 0)
-    labels[isolated] = next_label + 1 + np.arange(isolated.size)
     return validate_partition(labels)
 
 
@@ -231,22 +222,17 @@ def kwik_cluster(g: SignedWeightedGraph, rng: np.random.Generator) -> Partition:
     """Randomized pivot heuristic: each pivot absorbs every unassigned node
     joined to it by a positive kept edge."""
     n = g.n
-    neighbors = [[] for _ in range(n)]
-    for (i, j), s in zip(g.pairs, g.signs):
-        if s > 0:
-            neighbors[int(i)].append(int(j))
-            neighbors[int(j)].append(int(i))
+    joined = np.eye(n, dtype=bool)
+    i, j = g.pairs[g.signs > 0].T
+    joined[i, j] = joined[j, i] = True
     labels = np.zeros(n, dtype=int)
-    remaining = list(range(n))
+    remaining = np.arange(n)
     next_label = 0
-    while remaining:
-        pivot = remaining[int(rng.integers(len(remaining)))]
+    while remaining.size:
+        pivot = remaining[rng.integers(remaining.size)]
         next_label += 1
-        labels[pivot] = next_label
-        for w in neighbors[pivot]:
-            if labels[w] == 0:
-                labels[w] = next_label
-        remaining = [v for v in remaining if labels[v] == 0]
+        labels[joined[pivot] & (labels == 0)] = next_label
+        remaining = np.flatnonzero(labels == 0)
     return validate_partition(labels)
 
 
@@ -288,12 +274,12 @@ def brute_force_optimum(g: SignedWeightedGraph):
 def certify(g: SignedWeightedGraph, p: Partition,
             metric: FractionalMetric = None) -> SolveCertificate:
     """Certificate for partition p: the LP lower bound, the disagreement cost
-    of p, and the rounding guarantee c1*ln(n+1) times the bound. A graph with
-    no kept edges has the zero bound; ``metric`` reuses a solved LP."""
+    of p, and the rounding guarantee c1*ln(n+1) times the bound; ``metric``
+    reuses a solved LP."""
     cost = disagreement_cost(g, p)
-    if metric is None and g.edge_count:
+    if metric is None:
         metric = lp_relax(g)
-    bound = metric.objective if metric is not None else 0.0
+    bound = metric.objective
     return SolveCertificate(lp_lower_bound=bound, rounded_cost=cost,
                             c1=c1_constant(g.n),
                             bound_rhs=approximation_factor(g.n) * bound, n=g.n)
@@ -302,9 +288,6 @@ def certify(g: SignedWeightedGraph, p: Partition,
 def solve(g: SignedWeightedGraph):
     """LP relaxation plus region-growing rounding, with the likelihood-gap
     certificate."""
-    if g.edge_count == 0:
-        part = validate_partition(np.arange(1, g.n + 1))
-        return part, certify(g, part)
     metric = lp_relax(g)
     part = round_regions(metric, g)
     return part, certify(g, part, metric)

@@ -34,8 +34,9 @@ class GaussianDensity:
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
-        if sigma.shape != mean.shape or np.any(sigma <= 0):
-            raise ConfigError("sigma must be positive and match mean")
+        if (sigma.shape != mean.shape or not np.isfinite([mean, sigma]).all()
+                or np.any(sigma <= 0)):
+            raise ConfigError("mean and sigma must be finite, one shape, sigma > 0")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "sigma", sigma)
 
@@ -64,8 +65,9 @@ class UniformBoxDensity:
     def __post_init__(self):
         low = np.atleast_1d(np.asarray(self.low, dtype=float))
         high = np.atleast_1d(np.asarray(self.high, dtype=float))
-        if high.shape != low.shape or np.any(high <= low):
-            raise ConfigError("box must have high > low in every dimension")
+        if (high.shape != low.shape or not np.isfinite([low, high]).all()
+                or np.any(high <= low)):
+            raise ConfigError("box must have finite high > low in every dimension")
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
 
@@ -99,8 +101,9 @@ class MixtureDensity:
             weights = np.full(len(comps), 1.0 / len(comps))
         else:
             weights = np.asarray(self.weights, dtype=float)
-            if weights.shape != (len(comps),) or np.any(weights <= 0):
-                raise ConfigError("weights must be positive, one per component")
+            if (weights.shape != (len(comps),)
+                    or not np.all(np.isfinite(weights) & (weights > 0))):
+                raise ConfigError("weights must be finite, positive, one per component")
             weights = weights / weights.sum()
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", weights)

@@ -4,6 +4,7 @@ signed graph the clustering step consumes."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -162,13 +163,21 @@ def build_signed_graph(features: EdgeFeatureSet, p1, p0,
 
 def write_graph_tsv(g: SignedWeightedGraph, path) -> None:
     """Serialize kept edges as ``i<TAB>j<TAB>sign<TAB>cost`` lines (0-indexed,
-    LF endings); dropped edges are omitted."""
-    write_lines(path, (f"{i}\t{j}\t{s:+d}\t{c:.17g}"
-                       for (i, j), s, c in zip(g.pairs, g.signs, g.costs)))
+    LF endings), then each dropped pair as ``i<TAB>j<TAB>0<TAB>0``."""
+    write_lines(path, chain((f"{i}\t{j}\t{s:+d}\t{c:.17g}"
+                             for (i, j), s, c in zip(g.pairs, g.signs, g.costs)),
+                            (f"{i}\t{j}\t0\t0" for i, j in g.dropped)))
 
 
 def read_graph_tsv(path, n: int = None) -> SignedWeightedGraph:
-    i, j, signs, costs = parse_lines(path, read_lines(path, "\t"),
-                                     (int, int, int, float))
-    return SignedWeightedGraph(n=n, pairs=np.column_stack([i, j]), signs=signs,
-                               costs=costs)
+    """Read write_graph_tsv's lines; a sign-0 row is a dropped pair and must
+    have cost 0."""
+    lines = read_lines(path, "\t")
+    i, j, signs, costs = map(np.asarray, parse_lines(path, lines, (int, int, int, float)))
+    dropped = signs == 0
+    bad = np.flatnonzero(dropped & (costs != 0))
+    if len(bad):
+        raise DataError(f"{path}:{lines[bad[0]][0]}: dropped pair (sign 0) with a cost")
+    pairs = np.column_stack([i, j])
+    return SignedWeightedGraph(n=n, pairs=pairs[~dropped], signs=signs[~dropped],
+                               costs=costs[~dropped], dropped=pairs[dropped])

@@ -41,6 +41,37 @@ def tied_symmetric(a, rng):
     return x + x.T
 
 
+def with_isolated_nodes(g, extra, rng):
+    """g's kept edges moved onto a random ascending subset of g.n + extra
+    node ids, so that at least ``extra`` nodes touch no kept edge."""
+    ids = np.sort(rng.choice(g.n + extra, g.n, replace=False))
+    return make_graph(g.n + extra, [
+        (int(ids[i]), int(ids[j]), int(s), float(c))
+        for (i, j), s, c in zip(g.pairs, g.signs, g.costs)])
+
+
+def kwik_cluster_lists(g, rng):
+    """KwikCluster over neighbor lists and a list of remaining nodes, one
+    rng.integers draw per pivot: the reference the array form must match."""
+    neighbors = [[] for _ in range(g.n)]
+    for (i, j), s in zip(g.pairs, g.signs):
+        if s > 0:
+            neighbors[int(i)].append(int(j))
+            neighbors[int(j)].append(int(i))
+    labels = np.zeros(g.n, dtype=int)
+    remaining = list(range(g.n))
+    next_label = 0
+    while remaining:
+        pivot = remaining[int(rng.integers(len(remaining)))]
+        next_label += 1
+        labels[pivot] = next_label
+        for w in neighbors[pivot]:
+            if labels[w] == 0:
+                labels[w] = next_label
+        remaining = [v for v in remaining if labels[v] == 0]
+    return validate_partition(labels)
+
+
 class TestDisagreementCost:
     def test_triangle_single_cluster(self):
         g = unit_triangle()
@@ -112,9 +143,22 @@ class TestLpRelax:
         m = lp_relax(unit_triangle())
         assert m.objective == pytest.approx(1.0, abs=1e-7)
 
-    def test_no_kept_edges_rejected(self):
-        with pytest.raises(DataError):
-            lp_relax(make_graph(3, []))
+    def test_no_kept_edges_zero_metric(self):
+        m = lp_relax(make_graph(3, []))
+        assert np.array_equal(m.x, 1.0 - np.eye(3))
+        assert m.objective == 0.0
+
+    def test_isolated_nodes_at_distance_one(self):
+        # nodes 1 and 3 touch no kept edge; the LP block of 0, 2, 4 is kept
+        g = make_graph(5, [(0, 2, 1, 1.0), (2, 4, -1, 1.0)])
+        m = lp_relax(g)
+        active = np.ix_([0, 2, 4], [0, 2, 4])
+        assert np.array_equal(m.x[active], lp_relax(
+            make_graph(3, [(0, 1, 1, 1.0), (1, 2, -1, 1.0)])).x)
+        for v in (1, 3):
+            assert np.array_equal(np.delete(m.x[v], v), np.ones(4))
+            assert m.x[v, v] == 0.0
+        assert m.max_triangle_violation() <= TRIANGLE_TOL
 
     def test_round_budget_exhausted(self, monkeypatch):
         # the first solve of the unit triangle violates a triangle, so one
@@ -151,23 +195,25 @@ class TestLpRelax:
 class TestRoundRegions:
     def test_zero_metric_single_cluster(self):
         g = make_graph(3, [(0, 1, 1, 1.0), (0, 2, 1, 1.0), (1, 2, 1, 1.0)])
-        m = FractionalMetric(nodes=np.arange(3), x=np.zeros((3, 3)),
-                             objective=0.0)
+        m = FractionalMetric(x=np.zeros((3, 3)), objective=0.0)
         p = round_regions(m, g)
         assert p.k == 1
 
     def test_unit_metric_all_singletons(self):
         g = make_graph(3, [(0, 1, -1, 1.0), (0, 2, -1, 1.0), (1, 2, -1, 1.0)])
         x = np.ones((3, 3)) - np.eye(3)
-        m = FractionalMetric(nodes=np.arange(3), x=x, objective=0.0)
+        m = FractionalMetric(x=x, objective=0.0)
         p = round_regions(m, g)
         assert p.k == 3
 
     def test_metric_must_cover_graph_nodes(self):
-        m = FractionalMetric(nodes=np.arange(2), x=np.zeros((2, 2)),
-                             objective=0.0)
+        m = FractionalMetric(x=np.zeros((2, 2)), objective=0.0)
         with pytest.raises(DataError, match="cover"):
             round_regions(m, unit_triangle())
+
+    def test_graph_without_nodes_rejected(self):
+        with pytest.raises(DataError, match="no nodes"):
+            solve(make_graph(0, []))
 
     def test_isolated_nodes_become_singletons(self):
         g = make_graph(5, [(0, 1, 1, 1.0)], )
@@ -179,20 +225,27 @@ class TestRoundRegions:
 
 class TestOracleSandwich:
     def test_lp_oracle_rounded_ordering(self):
-        # lp lower bound <= oracle <= rounded <= c1*ln(n+1)*oracle
+        # lp lower bound <= oracle <= rounded <= c1*ln(n+1)*oracle, also on
+        # graphs with nodes that touch no kept edge
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
             n = int(rng.integers(5, 9))
-            g = random_graph(n, rng, missing_frac=0.15)
-            m = lp_relax(g)
-            _, opt = brute_force_optimum(g)
-            part = round_regions(m, g)
-            rounded = disagreement_cost(g, part)
-            factor = c1_constant(n) * math.log(n + 1)
-            assert m.objective <= opt + 1e-6
-            assert opt <= rounded + 1e-6
-            if opt > 1e-9 or rounded > 1e-9:
-                assert rounded <= factor * opt + 1e-6
+            base = random_graph(n, rng, missing_frac=0.15)
+            small = random_graph(int(rng.integers(3, 7)), rng, missing_frac=0.3)
+            isolated = with_isolated_nodes(small, int(rng.integers(1, 3)), rng)
+            for g in (base, isolated):
+                n = g.n
+                m = lp_relax(g)
+                _, opt = brute_force_optimum(g)
+                part = round_regions(m, g)
+                rounded = disagreement_cost(g, part)
+                factor = c1_constant(n) * math.log(n + 1)
+                assert m.objective <= opt + 1e-6
+                assert opt <= rounded + 1e-6
+                if opt > 1e-9 or rounded > 1e-9:
+                    assert rounded <= factor * opt + 1e-6
+                for v in np.setdiff1d(np.arange(n), g.pairs):
+                    assert np.sum(part.labels == part.labels[v]) == 1
 
     def test_cost_scaling_equivariance(self):
         rng = np.random.default_rng(5)
@@ -236,6 +289,21 @@ class TestKwikCluster:
         a = kwik_cluster(g, np.random.default_rng(7))
         b = kwik_cluster(g, np.random.default_rng(7))
         assert np.array_equal(a.labels, b.labels)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_list_based_loop(self, data):
+        n = data.draw(st.integers(1, 12))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        kept = data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                         if pairs else st.just([]))
+        edges = [(i, j, data.draw(st.sampled_from([-1, 1])), 1.0)
+                 for i, j in kept]
+        g = make_graph(n, edges)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        want = kwik_cluster_lists(g, np.random.default_rng(seed))
+        got = kwik_cluster(g, np.random.default_rng(seed))
+        assert np.array_equal(got.labels, want.labels)
 
 
 class TestBruteForce:

@@ -14,12 +14,12 @@ from scipy.special import logsumexp
 from conftest import StepDensity, make_graph
 from edgeclust.datagen import EdgeLevelSpec, gen_edge_level
 from edgeclust.densities import (LOG_FLOOR, GaussianDensity, MixtureDensity,
-                                 UniformBoxDensity)
+                                 UniformBoxDensity, parse_density)
 from edgeclust.density import (_CHUNK_ELEMENTS, DensityModel, LOG_ODDS_CLAMP,
                                SignedWeightedGraph, build_signed_graph,
                                kde_fit, read_graph_tsv, write_graph_tsv)
 from edgeclust.edge_features import EdgeFeatureSet, all_pairs
-from edgeclust.errors import DataError
+from edgeclust.errors import ConfigError, DataError
 
 # one density of each kind in dimension d
 DENSITIES = {
@@ -31,6 +31,26 @@ DENSITIES = {
         GaussianDensity(mean=np.zeros(d), sigma=np.ones(d)),
         UniformBoxDensity(low=np.zeros(d), high=np.full(d, 4.0)))),
 }
+
+
+NAN, INF = float("nan"), float("inf")
+UNIT = {"kind": "gaussian", "mean": [0.0], "sigma": [1.0]}
+
+
+@pytest.mark.parametrize("spec", [
+    dict(UNIT, sigma=[NAN]), dict(UNIT, sigma=[INF]), dict(UNIT, sigma=[0.0]),
+    dict(UNIT, mean=[NAN]), dict(UNIT, mean=[INF]), dict(UNIT, mean=[-INF]),
+    {"kind": "uniform", "low": [NAN], "high": [1.0]},
+    {"kind": "uniform", "low": [-INF], "high": [1.0]},
+    {"kind": "uniform", "low": [0.0], "high": [INF]},
+    {"kind": "uniform", "low": [0.0], "high": [NAN]},
+    {"kind": "mixture", "components": [UNIT, UNIT], "weights": [NAN, 1.0]},
+    {"kind": "mixture", "components": [UNIT, UNIT], "weights": [INF, 1.0]},
+    {"kind": "mixture", "components": [UNIT, UNIT], "weights": [0.0, 1.0]},
+])
+def test_parse_density_rejects_bad_parameters(spec):
+    with pytest.raises(ConfigError):
+        parse_density(spec)
 
 
 def log_odds(p1, p0, xs):
@@ -326,7 +346,13 @@ class TestGraphValidationAndTsv:
                                    max_size=m))
         costs = data.draw(st.lists(st.floats(0.0, 1e300), min_size=m,
                                    max_size=m))
-        g = SignedWeightedGraph(n=n, pairs=pairs, signs=signs, costs=costs)
+        # some of the other pairs are dropped, the rest absent from the file
+        rest = every[~np.array(keep, dtype=bool)]
+        drop = data.draw(st.lists(st.booleans(), min_size=len(rest),
+                                  max_size=len(rest)))
+        dropped = rest[np.array(drop, dtype=bool)].reshape(-1, 2)
+        g = SignedWeightedGraph(n=n, pairs=pairs, signs=signs, costs=costs,
+                                dropped=dropped)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "g.tsv"
             write_graph_tsv(g, path)
@@ -336,10 +362,16 @@ class TestGraphValidationAndTsv:
         assert np.array_equal(back.pairs, g.pairs)
         assert np.array_equal(back.signs, g.signs)
         assert np.array_equal(back.costs, g.costs)
-        assert inferred.n == (int(pairs.max()) + 1 if m else 0)
+        assert np.array_equal(back.dropped, g.dropped)
+        listed = np.vstack([pairs, dropped])
+        assert inferred.n == (int(listed.max()) + 1 if len(listed) else 0)
 
     def test_tsv_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("0\t1\tx\t1.0\n")
         with pytest.raises(DataError):
+            read_graph_tsv(path)
+        # sign 0 marks a dropped pair, which carries no cost
+        path.write_text("0\t1\t+1\t1.5\n\n1\t2\t0\t0.25\n")
+        with pytest.raises(DataError, match=":3: dropped pair"):
             read_graph_tsv(path)

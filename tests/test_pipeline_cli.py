@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from edgeclust import corrclust
 from edgeclust.cli import _read_labels, cli, main
 from edgeclust.core import SampleSet, report_json, validate_partition, write_lines
+from edgeclust.density import read_graph_tsv
 from edgeclust.errors import ConfigError, DataError
 from edgeclust.pipeline import (ResultsReport, RunConfig, fit_model, load_model,
                                 run_pipeline, save_model)
@@ -244,6 +245,32 @@ class TestCli:
         assert out == json.loads(cert.read_text())
         assert out["lp_lower_bound"] == out["rounded_cost"] == 0.0
 
+    def test_graph_file_keeps_node_count(self, tmp_path):
+        # at sparsify 2 no kept edge reaches nodes 10 and 11, so the kept
+        # edges alone say n = 10; the dropped pairs in graph.tsv still give
+        # cluster the node count without --n
+        runner = CliRunner()
+        d = str(tmp_path)
+        for args in (["gen", "--kind", "crossbones", "--n", "12", "--seed", "3",
+                      "--out", f"{d}/data.csv"],
+                     ["pairs", "--data", f"{d}/data.csv", "--pairs", "60",
+                      "--seed", "2", "--out", f"{d}/pairs.csv"],
+                     ["fit", "--data", f"{d}/data.csv", "--pairs-file",
+                      f"{d}/pairs.csv", "--out", f"{d}/model.npz"],
+                     ["graph", "--data", f"{d}/data.csv", "--model",
+                      f"{d}/model.npz", "--sparsify", "2",
+                      "--out", f"{d}/graph.tsv"],
+                     ["cluster", "--graph", f"{d}/graph.tsv",
+                      "--out", f"{d}/labels.txt"],
+                     ["eval", "--pred", f"{d}/labels.txt",
+                      "--truth", f"{d}/data.csv"]):
+            res = runner.invoke(cli, args)
+            assert res.exit_code == 0, f"{args[0]}: {res.output}"
+        g = read_graph_tsv(tmp_path / "graph.tsv")
+        assert g.n == 12
+        assert g.pairs.max() == 9
+        assert len(_read_labels(tmp_path / "labels.txt")) == 12
+
     @pytest.mark.parametrize("algo", ["lp", "pivot", "oracle"])
     def test_cluster_certificate_matches_certify(self, tmp_path, algo):
         runner = CliRunner()
@@ -368,13 +395,20 @@ class TestCli:
         assert exit_code(monkeypatch, [
             "pipeline", "--kind", "blobs", "--seed", "1", "--holdout", "10",
             "--train-pool", "20", "--pairs", "100", "--knn", "0"]) == 2
-        # malformed edge specs are config errors
+        # malformed edge specs are config errors, a NaN sigma among them
+        # (json reads NaN) rather than a failure inside the data stage
         spec = tmp_path / "spec.json"
         gauss_no_sigma = {"kind": "gaussian", "mean": [0.0]}
+        nan_sigma = {"sizes": [4, 4],
+                     "p1": {"kind": "gaussian", "mean": [0.0, 0.0],
+                            "sigma": [float("nan"), 1.0]},
+                     "p0": {"kind": "gaussian", "mean": [2.0, 2.0],
+                            "sigma": [1.0, 1.0]}}
         for text in ("{", "[1, 2]",
                      json.dumps({"sizes": [4, 4], "p0": DISJOINT_SPEC["p0"]}),
                      json.dumps(dict(DISJOINT_SPEC, p1=gauss_no_sigma)),
-                     json.dumps(dict(DISJOINT_SPEC, sizes="ab")), "null", "{}"):
+                     json.dumps(dict(DISJOINT_SPEC, sizes="ab")), "null", "{}",
+                     json.dumps(nan_sigma)):
             spec.write_text(text)
             assert exit_code(monkeypatch, [
                 "pipeline", "--edge-spec", str(spec), "--seed", "1"]) == 2, text
