@@ -22,7 +22,6 @@ from .errors import DataError, SolverError
 
 TRIANGLE_TOL = 1e-6
 MAX_ROUNDS = 200   # lazy constraint-generation rounds before SolverError
-BATCH = 1000       # most-violated triangles added per round
 ORACLE_MAX_N = 12  # Bell(12) ~ 4.2e6 partitions for brute_force_optimum
 _SNAP = 1e-9
 
@@ -84,30 +83,25 @@ def _triangle_violations(x: np.ndarray) -> np.ndarray:
     return x[:, :, None] - x[:, None, :] - x[None, :, :]
 
 
-def _violated_triangles(x: np.ndarray, budget: int, tol: float) -> np.ndarray:
-    """Flat ids i*a*a + j*a + l of the at most ``budget`` most-violated
-    triangle inequalities x_ij <= x_il + x_lj with i < j, most violated
-    first. With x_ii = 0 every l in {i, j} violates by exactly 0, so tol > 0
-    keeps l distinct from both."""
+def _violated_triangles(x: np.ndarray, tol: float) -> np.ndarray:
+    """Flat ids i*a*a + j*a + l of every triangle inequality
+    x_ij <= x_il + x_lj with i < j violated by more than tol, most violated
+    first (ties in id order). With x_ii = 0 every l in {i, j} violates by
+    exactly 0, so tol > 0 keeps l distinct from both."""
     a = x.shape[0]
     viol = _triangle_violations(x)
     viol[np.tril_indices(a)] = 0.0
     flat = np.flatnonzero(viol > tol)
-    vals = viol.ravel()[flat]
-    if flat.size > budget:
-        top = np.argpartition(vals, -budget)[-budget:]
-        flat = flat[top]
-        vals = vals[top]
-    return flat[np.argsort(-vals, kind="stable")]
+    return flat[np.argsort(-viol.ravel()[flat], kind="stable")]
 
 
 def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     """Solve the metric LP relaxation with lazy triangle-constraint
-    generation, adding at most BATCH rows in each of at most MAX_ROUNDS
-    rounds; the returned objective is a valid lower bound on the optimal
-    disagreement cost. The LP runs over the nodes that touch a kept edge;
-    every other node is at distance 1, so a graph with no kept edges gets
-    the metric 1 - I and objective 0."""
+    generation: each of at most MAX_ROUNDS rounds adds a row for every
+    triangle inequality the last solution violates; the returned objective
+    is a valid lower bound on the optimal disagreement cost. The LP runs
+    over the nodes that touch a kept edge; every other node is at distance
+    1, so a graph with no kept edges gets the metric 1 - I and objective 0."""
     metric = 1.0 - np.eye(g.n)
     if g.edge_count == 0:
         return FractionalMetric(x=metric, objective=0.0)
@@ -146,7 +140,7 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
         xm = np.zeros((a, a))
         xm[iu] = x
         xm = xm + xm.T
-        flat = _violated_triangles(xm, BATCH, TRIANGLE_TOL)
+        flat = _violated_triangles(xm, TRIANGLE_TOL)
         flat = flat[~np.isin(flat, added)]
         if not flat.size:
             metric[np.ix_(nodes, nodes)] = xm

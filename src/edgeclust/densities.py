@@ -104,6 +104,7 @@ class MixtureDensity:
             if (weights.shape != (len(comps),)
                     or not np.all(np.isfinite(weights) & (weights > 0))):
                 raise ConfigError("weights must be finite, positive, one per component")
+            weights = weights / weights.max()  # the sum cannot overflow
             weights = weights / weights.sum()
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", weights)

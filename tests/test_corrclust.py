@@ -16,6 +16,7 @@ from edgeclust.corrclust import (FractionalMetric, TRIANGLE_TOL,
                                  round_regions, solve, _set_partitions,
                                  _violated_triangles)
 from edgeclust.errors import DataError, SolverError
+from edgeclust.pipeline import RunConfig, run_pipeline
 
 
 def naive_violations(x, tol):
@@ -101,28 +102,7 @@ class TestViolatedTriangles:
             x = tied_symmetric(int(rng.integers(1, 9)), rng)
             found = naive_violations(x, TRIANGLE_TOL)
             want = [t for _, t in sorted(found, key=lambda f: -f[0])]
-            for budget in (len(found), len(found) + 5):
-                got = _violated_triangles(x, budget, TRIANGLE_TOL)
-                assert got.tolist() == want
-
-    def test_truncation_keeps_the_most_violated(self):
-        rng = np.random.default_rng(12)
-        checked = 0
-        for _ in range(40):
-            x = tied_symmetric(int(rng.integers(3, 9)), rng)
-            viol = dict((t, v) for v, t in naive_violations(x, TRIANGLE_TOL))
-            if len(viol) < 2:
-                continue
-            budget = len(viol) // 2
-            got = _violated_triangles(x, budget, TRIANGLE_TOL).tolist()
-            assert len(got) == len(set(got)) == budget
-            assert set(got) <= set(viol)
-            kept = [viol[t] for t in got]
-            assert kept == sorted(kept, reverse=True)
-            omitted = [v for t, v in viol.items() if t not in set(got)]
-            assert max(omitted) <= min(kept)
-            checked += 1
-        assert checked >= 20
+            assert _violated_triangles(x, TRIANGLE_TOL).tolist() == want
 
 
 class TestLpRelax:
@@ -166,6 +146,28 @@ class TestLpRelax:
         monkeypatch.setattr(corrclust, "MAX_ROUNDS", 1)
         with pytest.raises(SolverError, match="round budget"):
             lp_relax(unit_triangle())
+
+    def test_every_violated_triangle_added_each_round(self, monkeypatch):
+        # each round adds every violated row, so this instance is feasible
+        # after its third solve
+        solves, metrics = [], []
+        linprog, relax = corrclust.linprog, corrclust.lp_relax
+
+        def counted_linprog(*args, **kwargs):
+            solves.append(kwargs["A_ub"])
+            return linprog(*args, **kwargs)
+
+        def kept_relax(g):
+            metrics.append(relax(g))
+            return metrics[-1]
+
+        monkeypatch.setattr(corrclust, "linprog", counted_linprog)
+        monkeypatch.setattr(corrclust, "lp_relax", kept_relax)
+        run_pipeline(RunConfig(dataset="crossbones", algo="lp", holdout=45,
+                               pairs=500, noise=0.03, seed=13))
+        assert len(metrics) == 1
+        assert len(solves) <= 3
+        assert metrics[0].max_triangle_violation() <= TRIANGLE_TOL
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)

@@ -53,6 +53,12 @@ def test_parse_density_rejects_bad_parameters(spec):
         parse_density(spec)
 
 
+def test_mixture_weights_near_the_float_limit_normalize():
+    mix = MixtureDensity((GaussianDensity([0.0], [1.0]),) * 2, [1e308, 1e308])
+    assert mix.weights.tolist() == [0.5, 0.5]
+    assert np.isfinite(mix.logpdf_many([[0.0]])).all()
+
+
 def log_odds(p1, p0, xs):
     """Per-point (signs, costs) of the clamped log-odds, read off the signed
     graph over pairs (0, t+1); a pair dropped at threshold 0 is an exact tie
