@@ -31,8 +31,8 @@ class SyntheticSpec:
             raise ConfigError(f"unknown synthetic kind {self.kind!r}")
         if self.n < self.k or self.k < 1:
             raise ConfigError("need n >= k >= 1")
-        if self.noise < 0:
-            raise ConfigError("noise must be >= 0")
+        if not 0 <= self.noise < math.inf:
+            raise ConfigError("noise must be finite and >= 0")
 
 
 @dataclass(frozen=True)

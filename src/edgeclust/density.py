@@ -17,6 +17,9 @@ from .errors import ConfigError, DataError
 LOG_ODDS_CLAMP = 50.0
 # kernel values held at once by logpdf_many: 512 KiB of doubles for any m
 _CHUNK_ELEMENTS = 2 ** 16
+# below log(smallest normal double) ~ -708.4 exp loses digits to subnormals,
+# and below ~ -745 it gives 0
+_LOG_TINY = float(np.log(np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)
@@ -50,13 +53,15 @@ class DensityModel:
         """log of the mean of the Gaussian kernels at each query, floored at
         LOG_FLOOR; a NaN query gives NaN."""
         x = _as_matrix(x, self.d)
-        # -|q-p|^2/2 = q.p - |p|^2/2 - |q|^2/2 in bandwidth units, one GEMM
-        # per chunk. Centering at the training mean first keeps |q|^2 and
-        # |p|^2 near the data's own spread, so the expansion cancels no digits
-        # when the data sit far from the origin.
+        # -|q-p|^2/2 = [q, 1, |q|^2/2] . [p, -|p|^2/2, -1] in bandwidth units,
+        # so one GEMM per chunk gives every exponent. Centering at the
+        # training mean first keeps |q|^2 and |p|^2 near the data's own
+        # spread, so the expansion cancels no digits when the data sit far
+        # from the origin.
         mean = self.training_points.mean(axis=0)
         pts = (self.training_points - mean) / self.bandwidths
-        half_p = 0.5 * np.einsum("md,md->m", pts, pts)
+        right = np.column_stack([pts, -0.5 * np.einsum("md,md->m", pts, pts),
+                                 np.full(self.m, -1.0)])
         const = (-np.sum(np.log(self.bandwidths * np.sqrt(2.0 * np.pi)))
                  - np.log(self.m))
         rows = max(1, _CHUNK_ELEMENTS // self.m)
@@ -64,16 +69,18 @@ class DensityModel:
         with np.errstate(over="ignore", invalid="ignore"):
             q = (x - mean) / self.bandwidths
             half_q = 0.5 * np.einsum("qd,qd->q", q, q)
+            left = np.column_stack([q, np.ones(len(q)), half_q])
             for start in range(0, len(q), rows):
                 stop = start + rows
-                expo = q[start:stop] @ pts.T
-                expo -= half_p
-                expo -= half_q[start:stop, None]
-                np.minimum(expo, 0.0, out=expo)
+                expo = left[start:stop] @ right.T
+                # log-sum-exp shift by the row max, only on the rows where
+                # every kernel would underflow to 0
                 top = expo.max(axis=1)
-                expo -= top[:, None]
+                shift = np.where(top < _LOG_TINY, top, 0.0)
+                if shift.any():
+                    expo -= shift[:, None]
                 np.exp(expo, out=expo)
-                out[start:stop] = np.log(expo.sum(axis=1)) + top
+                out[start:stop] = np.log(expo.sum(axis=1)) + shift
         # a query whose squared norm overflows is in every kernel's far tail
         out[np.isposinf(half_q)] = -np.inf
         return np.maximum(out + const, LOG_FLOOR)
@@ -121,6 +128,8 @@ class SignedWeightedGraph:
         n = self.n
         if n is None:
             n = int(every.max()) + 1 if len(every) else 0
+        if n < 0:
+            raise DataError(f"node count must be >= 0, got {n}")
         if len(check_pairs(every, n)) != len(np.unique(every, axis=0)):
             raise DataError("a pair appears more than once")
         object.__setattr__(self, "n", n)
@@ -141,7 +150,7 @@ def build_signed_graph(features: EdgeFeatureSet, p1, p0,
     to +-50, and weight it by the absolute log-odds; pairs at or below the
     sparsification threshold (including exact ties P1 = P0) are dropped. A
     NaN log-odds is a DataError."""
-    if sparsify_below < 0:
+    if not sparsify_below >= 0:
         raise ConfigError("sparsify threshold must be >= 0")
     r = p1.logpdf_many(features.vectors) - p0.logpdf_many(features.vectors)
     nan = np.flatnonzero(np.isnan(r))

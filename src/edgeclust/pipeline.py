@@ -53,6 +53,8 @@ class RunConfig:
         object.__setattr__(self, "similarity", canonical_kind(self.similarity))
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}")
+        if not self.sparsify >= 0:
+            raise ConfigError("sparsify threshold must be >= 0")
         if self.pca is not None and not (0.0 < self.pca <= 1.0):
             raise ConfigError("pca variance target must be in (0, 1]")
         if self.pairs < 1:

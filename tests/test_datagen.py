@@ -47,6 +47,11 @@ class TestGenSynthetic:
             gen_synthetic(SyntheticSpec(kind="crossbones", n=10, k=3),
                           np.random.default_rng(0))
 
+    @pytest.mark.parametrize("noise", [np.nan, np.inf, -np.inf, -0.1])
+    def test_noise_must_be_finite_and_nonnegative(self, noise):
+        with pytest.raises(ConfigError):
+            SyntheticSpec(kind="blobs", n=10, noise=noise)
+
 
 class TestGenEdgeLevel:
     def test_single_cluster_all_intra(self, rng):

@@ -185,6 +185,40 @@ class TestKdeLogpdf:
         got = model.logpdf_many(queries)
         assert np.max(np.abs(got - np.maximum(want, LOG_FLOOR))) <= 1e-9
 
+    def test_underflowing_row_is_shifted(self):
+        """Bandwidths of 1e-160 in d = 2 give a normalizing constant near
+        +735, so a query whose only kernel exponent is -760 still has a
+        log-density near -25, above LOG_FLOOR. exp(-760) underflows to 0,
+        so that row needs the log-sum-exp shift; the query at the training
+        point, in the same chunk, does not."""
+        bw = np.full(2, 1e-160)
+        model = DensityModel(training_points=np.zeros((1, 2)), bandwidths=bw)
+        queries = np.array([[np.sqrt(2 * 760.0) * 1e-160, 0.0], [0.0, 0.0]])
+        expo = -0.5 * np.sum((queries / bw) ** 2, axis=1)
+        assert expo[0] < -745 and np.exp(expo[0]) == 0.0
+        want = (logsumexp(expo[:, None], axis=1)
+                - np.sum(np.log(bw * np.sqrt(2.0 * np.pi))))
+        assert want[0] > LOG_FLOOR
+        got = model.logpdf_many(queries)
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+    def test_exact_hits_match_direct_formula(self, rng):
+        pts = rng.normal(size=(60, 3)) * [1.0, 10.0, 0.1] + 5.0
+        model = kde_fit(pts)
+        z = (pts[:, None, :] - pts[None, :, :]) / model.bandwidths
+        want = (logsumexp(-0.5 * np.sum(z * z, axis=2), axis=1)
+                - np.sum(np.log(model.bandwidths * np.sqrt(2.0 * np.pi)))
+                - np.log(len(pts)))
+        assert np.max(np.abs(model.logpdf_many(pts) - want)) <= 1e-12
+
+    def test_lone_point_gives_normalizing_constant(self):
+        bw = np.array([0.5, 2.0])
+        model = DensityModel(training_points=np.array([[3.5, -2.0]]),
+                             bandwidths=bw)
+        const = -np.sum(np.log(bw * np.sqrt(2.0 * np.pi)))
+        assert model.logpdf_many([[3.5, -2.0]])[0] == pytest.approx(const,
+                                                                   abs=1e-12)
+
     def test_memory_bounded_by_chunk(self, rng):
         """One call holds a fixed budget of kernel values, not a
         (queries, points, d) tensor: 4,000 x 5,000 in d = 2 peaks well

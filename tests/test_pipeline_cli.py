@@ -245,6 +245,19 @@ class TestCli:
         assert out == json.loads(cert.read_text())
         assert out["lp_lower_bound"] == out["rounded_cost"] == 0.0
 
+    def test_negative_node_count_is_data_error(self, tmp_path, monkeypatch):
+        graph = tmp_path / "empty.tsv"
+        graph.write_text("")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("1\n")
+        for algo in ("lp", "pivot"):
+            assert exit_code(monkeypatch, [
+                "cluster", "--graph", str(graph), "--n", "-5", "--algo", algo,
+                "--out", str(tmp_path / "out.txt")]) == 3
+        assert exit_code(monkeypatch, [
+            "certify", "--graph", str(graph), "--labels", str(labels),
+            "--n", "-5"]) == 3
+
     def test_graph_file_keeps_node_count(self, tmp_path):
         # at sparsify 2 no kept edge reaches nodes 10 and 11, so the kept
         # edges alone say n = 10; the dropped pairs in graph.tsv still give
@@ -375,12 +388,23 @@ class TestCli:
                       "--out", str(model)]):
             res = runner.invoke(cli, step)
             assert res.exit_code == 0, res.output
-        assert exit_code(monkeypatch, [
-            "graph", "--data", str(data), "--model", str(model),
-            "--sparsify", "-1", "--out", str(tmp_path / "g.tsv")]) == 2
-        assert exit_code(monkeypatch, [
-            "pipeline", "--kind", "blobs", "--seed", "1", "--holdout", "10",
-            "--train-pool", "20", "--pairs", "100", "--sparsify", "-1"]) == 2
+        # and so is a NaN one, which would otherwise drop every pair
+        for threshold in ("-1", "nan"):
+            assert exit_code(monkeypatch, [
+                "graph", "--data", str(data), "--model", str(model),
+                "--sparsify", threshold, "--out", str(tmp_path / "g.tsv")]) == 2
+            assert exit_code(monkeypatch, [
+                "pipeline", "--kind", "blobs", "--seed", "1", "--holdout", "10",
+                "--train-pool", "20", "--pairs", "100",
+                "--sparsify", threshold]) == 2
+        # a NaN or infinite noise is a config error, not non-finite features
+        for noise in ("nan", "inf"):
+            assert exit_code(monkeypatch, [
+                "gen", "--kind", "blobs", "--n", "10", "--seed", "1",
+                "--noise", noise, "--out", str(tmp_path / "noisy.csv")]) == 2
+            assert exit_code(monkeypatch, [
+                "pipeline", "--kind", "blobs", "--seed", "1", "--holdout", "10",
+                "--train-pool", "20", "--pairs", "100", "--noise", noise]) == 2
         # a training pool that cannot hold a pair of each kind (below 3;
         # 0 only means "every row" for a CSV) and a knn below 1 are config
         # errors rather than failures inside the data or score stage
