@@ -124,9 +124,7 @@ def spectral(s: SampleSet, cfg: SpectralConfig, rng: np.random.Generator) -> Par
     if cfg.k == 1:
         return validate_partition(np.ones(n, dtype=int))
     w = _affinity(s.features, cfg)
-    deg = w.sum(axis=1)
-    deg[deg == 0] = 1e-8
-    inv_sqrt = 1.0 / np.sqrt(deg)
+    inv_sqrt = 1.0 / np.sqrt(w.sum(axis=1))
     lsym = np.eye(n) - (w * inv_sqrt[:, None]) * inv_sqrt[None, :]
     lsym = 0.5 * (lsym + lsym.T)
     evals, evecs = np.linalg.eigh(lsym)

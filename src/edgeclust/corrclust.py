@@ -21,7 +21,7 @@ from .density import SignedWeightedGraph
 from .errors import DataError, SolverError
 
 TRIANGLE_TOL = 1e-6
-MAX_ROUNDS = 200   # lazy constraint-generation rounds before SolverError
+MAX_ROUNDS = 200   # separation rounds, each with at most one solve
 ORACLE_MAX_N = 12  # Bell(12) ~ 4.2e6 partitions for brute_force_optimum
 _SNAP = 1e-9
 
@@ -46,9 +46,7 @@ class FractionalMetric:
     objective: float
 
     def max_triangle_violation(self) -> float:
-        if len(self.x) < 3:
-            return 0.0
-        return float(_triangle_violations(self.x).max())
+        return float(_triangle_violations(self.x).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -97,14 +95,14 @@ def _violated_triangles(x: np.ndarray, tol: float) -> np.ndarray:
 
 def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     """Solve the metric LP relaxation with lazy triangle-constraint
-    generation: each of at most MAX_ROUNDS rounds adds a row for every
-    triangle inequality the last solution violates; the returned objective
-    is a valid lower bound on the optimal disagreement cost. The LP runs
-    over the nodes that touch a kept edge; every other node is at distance
-    1, so a graph with no kept edges gets the metric 1 - I and objective 0."""
+    generation, starting from the rowless optimum: each variable at the
+    bound its cost favours, 1 on a negative edge and 0 elsewhere. Each of at
+    most MAX_ROUNDS rounds adds a row for every triangle inequality the
+    current solution violates, then solves with all rows so far; a round
+    that adds none returns a lower bound on the optimal disagreement cost.
+    Nodes off every kept edge sit at distance 1, so a graph without kept
+    edges has no variables and gets 1 - I with objective 0."""
     metric = 1.0 - np.eye(g.n)
-    if g.edge_count == 0:
-        return FractionalMetric(x=metric, objective=0.0)
     nodes = np.unique(g.pairs)
     a = nodes.size
     # variable index for each unordered pair over the active node set
@@ -120,16 +118,22 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     c[var[local[:, 0], local[:, 1]]] = np.where(pos, g.costs, -g.costs)
     const = sum(g.costs[~pos].tolist())  # left to right, in edge order
 
+    x = (c < 0).astype(float)
     added = np.empty(0, dtype=np.intp)  # flat triangle ids, one row each
     for _ in range(MAX_ROUNDS):
-        a_ub = None
-        if added.size:
-            i, j, l = np.unravel_index(added, (a, a, a))
-            a_ub = sparse.csr_matrix(
-                (np.tile([1.0, -1.0, -1.0], added.size),
-                 (np.repeat(np.arange(added.size), 3),
-                  np.stack([var[i, j], var[i, l], var[l, j]], axis=1).ravel())),
-                shape=(added.size, nvars))
+        xm = np.where(var >= 0, x[var], 0.0)
+        flat = _violated_triangles(xm, TRIANGLE_TOL)
+        flat = flat[~np.isin(flat, added)]
+        if not flat.size:
+            metric[np.ix_(nodes, nodes)] = xm
+            return FractionalMetric(x=metric, objective=float(c @ x + const))
+        added = np.concatenate([added, flat])
+        i, j, l = np.unravel_index(added, (a, a, a))
+        a_ub = sparse.csr_matrix(
+            (np.tile([1.0, -1.0, -1.0], added.size),
+             (np.repeat(np.arange(added.size), 3),
+              np.stack([var[i, j], var[i, l], var[l, j]], axis=1).ravel())),
+            shape=(added.size, nvars))
         res = linprog(c, A_ub=a_ub, b_ub=np.zeros(added.size),
                       bounds=(0.0, 1.0), method="highs")
         if not res.success:
@@ -137,15 +141,6 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
         x = np.asarray(res.x)
         x[x < _SNAP] = 0.0
         x[x > 1.0 - _SNAP] = 1.0
-        xm = np.zeros((a, a))
-        xm[iu] = x
-        xm = xm + xm.T
-        flat = _violated_triangles(xm, TRIANGLE_TOL)
-        flat = flat[~np.isin(flat, added)]
-        if not flat.size:
-            metric[np.ix_(nodes, nodes)] = xm
-            return FractionalMetric(x=metric, objective=float(c @ x + const))
-        added = np.concatenate([added, flat])
     raise SolverError("lazy triangle generation exceeded its round budget")
 
 

@@ -120,6 +120,8 @@ def gen_synthetic(spec: SyntheticSpec, rng: np.random.Generator) -> SampleSet:
                 pts = pts + rng.normal(0.0, spec.noise, size=pts.shape)
             chunks.append(pts)
     features = np.concatenate(chunks, axis=0)
+    if not np.isfinite(features).all():
+        raise ConfigError(f"noise {spec.noise:g} overflows the generated points")
     labels = np.concatenate([np.full(counts[c], c + 1, dtype=int)
                              for c in range(spec.k)])
     return SampleSet(features=features, labels=labels)

@@ -95,7 +95,8 @@ def kde_fit(vectors: np.ndarray) -> DensityModel:
     m, d = vectors.shape
     if m < 2:
         raise DataError("bandwidth estimation needs >= 2 training points")
-    sigma = vectors.std(axis=0, ddof=1)
+    with np.errstate(over="ignore"):  # an overflowing spread fails below
+        sigma = vectors.std(axis=0, ddof=1)
     h = sigma * m ** (-1.0 / (d + 4))
     h = np.maximum(h, 1e-6 * (1.0 + np.abs(sigma)))
     return DensityModel(training_points=vectors, bandwidths=h)

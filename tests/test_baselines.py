@@ -64,6 +64,16 @@ class TestSpectral:
         assert np.allclose(w, w.T)
         assert np.all(w >= 0)
 
+    def test_far_outlier_keeps_positive_degree(self, rng):
+        # the outlier's Gaussian weights and its nearest-neighbor fallback
+        # both underflow to 0, so only the self-loop keeps its degree > 0
+        feats = np.vstack([rng.normal(size=(10, 2)), [[1e6, 1e6]]])
+        w = _affinity(feats, SpectralConfig(k=2, knn=3))
+        assert np.all(w[-1, :-1] == 0.0) and w[-1, -1] > 0.0
+        assert np.all(w.sum(axis=1) > 0.0)
+        p = spectral(SampleSet(features=feats), SpectralConfig(k=2, knn=3), rng)
+        assert p.n == 11
+
     def test_seed_determinism(self, rng):
         s = _blobs(rng, spread=2.0)
         a = spectral(s, SpectralConfig(k=2, knn=5), np.random.default_rng(8))

@@ -140,16 +140,35 @@ class TestLpRelax:
             assert m.x[v, v] == 0.0
         assert m.max_triangle_violation() <= TRIANGLE_TOL
 
+    def test_sign_solution_needs_no_solve(self, monkeypatch):
+        # two positive cliques joined by negative edges, plus node 6 on no
+        # kept edge: the sign solution is already a clustering metric
+        solves = []
+        linprog = corrclust.linprog
+
+        def counted_linprog(*args, **kwargs):
+            solves.append(kwargs["A_ub"])
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(corrclust, "linprog", counted_linprog)
+        labels = np.array([1, 1, 1, 2, 2, 2, 3])
+        edges = [(i, j, 1 if labels[i] == labels[j] else -1, 0.5 + (i + j) % 3)
+                 for i in range(6) for j in range(i + 1, 6)]
+        m = lp_relax(make_graph(7, edges))
+        assert solves == []
+        assert np.array_equal(m.x, (labels[:, None] != labels).astype(float))
+        assert m.objective == 0.0
+
     def test_round_budget_exhausted(self, monkeypatch):
-        # the first solve of the unit triangle violates a triangle, so one
-        # round cannot reach a feasible metric
+        # the sign solution of the unit triangle violates a triangle, so a
+        # budget of one round ends after a solve it never checks
         monkeypatch.setattr(corrclust, "MAX_ROUNDS", 1)
         with pytest.raises(SolverError, match="round budget"):
             lp_relax(unit_triangle())
 
     def test_every_violated_triangle_added_each_round(self, monkeypatch):
         # each round adds every violated row, so this instance is feasible
-        # after its third solve
+        # after its second solve
         solves, metrics = [], []
         linprog, relax = corrclust.linprog, corrclust.lp_relax
 
@@ -166,7 +185,7 @@ class TestLpRelax:
         run_pipeline(RunConfig(dataset="crossbones", algo="lp", holdout=45,
                                pairs=500, noise=0.03, seed=13))
         assert len(metrics) == 1
-        assert len(solves) <= 3
+        assert len(solves) <= 2
         assert metrics[0].max_triangle_violation() <= TRIANGLE_TOL
 
     @given(st.data())

@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 from edgeclust.core import validate_partition
-from edgeclust.datagen import (EdgeLevelSpec, SyntheticSpec, gen_edge_level,
-                               gen_synthetic, load_csv, load_labeled_pairs,
-                               save_csv, save_labeled_pairs)
+from edgeclust.datagen import (SYNTHETIC_KINDS, EdgeLevelSpec, SyntheticSpec,
+                               gen_edge_level, gen_synthetic, load_csv,
+                               load_labeled_pairs, save_csv,
+                               save_labeled_pairs)
 from edgeclust.densities import UniformBoxDensity
 from edgeclust.errors import ConfigError, DataError
 
@@ -51,6 +52,13 @@ class TestGenSynthetic:
     def test_noise_must_be_finite_and_nonnegative(self, noise):
         with pytest.raises(ConfigError):
             SyntheticSpec(kind="blobs", n=10, noise=noise)
+
+    @pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
+    def test_noise_that_overflows_the_points_rejected(self, kind):
+        # a finite noise passes the spec, but its draws overflow to inf
+        spec = SyntheticSpec(kind=kind, n=100, noise=1e308)
+        with pytest.raises(ConfigError, match=r"noise 1e\+308"):
+            gen_synthetic(spec, np.random.default_rng(1))
 
 
 class TestGenEdgeLevel:

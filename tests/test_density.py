@@ -101,6 +101,12 @@ class TestKdeFit:
         with pytest.raises(DataError):
             kde_fit(np.array([[0.0], [1.0], [np.inf]]))
 
+    def test_overflowing_spread_rejected_without_warning(self):
+        # the squares in the spread overflow; with warnings as errors only
+        # the bandwidth check may speak
+        with pytest.raises(DataError, match="bandwidths must be finite"):
+            kde_fit(np.array([[-1e200], [1e200], [0.0]]))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 0.0])
     def test_bad_bandwidth_rejected(self, bad):
         with pytest.raises(DataError):

@@ -397,14 +397,21 @@ class TestCli:
                 "pipeline", "--kind", "blobs", "--seed", "1", "--holdout", "10",
                 "--train-pool", "20", "--pairs", "100",
                 "--sparsify", threshold]) == 2
-        # a NaN or infinite noise is a config error, not non-finite features
-        for noise in ("nan", "inf"):
+        # a NaN or infinite noise is a config error, not non-finite
+        # features, and so is a finite one whose draws overflow (100 points
+        # make an overflowing draw all but certain)
+        for noise in ("nan", "inf", "1e308"):
             assert exit_code(monkeypatch, [
-                "gen", "--kind", "blobs", "--n", "10", "--seed", "1",
+                "gen", "--kind", "blobs", "--n", "100", "--seed", "1",
                 "--noise", noise, "--out", str(tmp_path / "noisy.csv")]) == 2
             assert exit_code(monkeypatch, [
                 "pipeline", "--kind", "blobs", "--seed", "1", "--holdout", "10",
                 "--train-pool", "20", "--pairs", "100", "--noise", noise]) == 2
+        # a noise whose points are finite but whose spread overflows is a
+        # data error at the fit stage, with no overflow warning on the way
+        assert exit_code(monkeypatch, [
+            "pipeline", "--kind", "blobs", "--seed", "1", "--holdout", "10",
+            "--train-pool", "20", "--pairs", "100", "--noise", "1e200"]) == 3
         # a training pool that cannot hold a pair of each kind (below 3;
         # 0 only means "every row" for a CSV) and a knn below 1 are config
         # errors rather than failures inside the data or score stage
