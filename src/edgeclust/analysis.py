@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import Partition, co_membership
 from .corrclust import _disagreements, disagreement_cost
-from .density import SignedWeightedGraph
+from .density import SignedWeightedGraph, log_density
 from .edge_features import EdgeFeatureSet
 from .errors import DataError
 
@@ -46,12 +46,11 @@ def log_likelihood(p: Partition, features: EdgeFeatureSet, p1, p0) -> Likelihood
     log_likelihood_g0 takes the larger log-density on every pair; the
     disagreement term collects the absolute log-odds of every pair whose
     co-membership bit contradicts the log-odds sign (ties never disagree).
-    """
+    P1 and P0 are read with log_density."""
     if len(features) == 0:
         raise DataError("no pairs to evaluate")
     theta = co_membership(p, features.pairs)
-    l1 = p1.logpdf_many(features.vectors)
-    l0 = p0.logpdf_many(features.vectors)
+    l1, l0 = log_density(p1, features), log_density(p0, features)
     ll_theta = float(np.sum(np.where(theta, l1, l0)))
     ll_g0 = float(np.sum(np.maximum(l1, l0)))
     r = l1 - l0

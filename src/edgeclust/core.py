@@ -156,6 +156,12 @@ def check_pairs(pairs, n: int) -> np.ndarray:
     return pairs
 
 
+def has_duplicate_pairs(pairs: np.ndarray) -> bool:
+    """True when a row of the (m, 2) int array ``pairs`` appears twice."""
+    rows = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return bool(np.any(np.all(rows[1:] == rows[:-1], axis=1)))
+
+
 def co_membership(p: Partition, pairs) -> np.ndarray:
     """Pairwise co-membership bits: True where both endpoints of a pair
     share a label."""

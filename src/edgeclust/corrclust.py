@@ -116,7 +116,6 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     pos = g.signs > 0
     c = np.zeros(nvars)
     c[var[local[:, 0], local[:, 1]]] = np.where(pos, g.costs, -g.costs)
-    const = sum(g.costs[~pos].tolist())  # left to right, in edge order
 
     x = (c < 0).astype(float)
     added = np.empty(0, dtype=np.intp)  # flat triangle ids, one row each
@@ -126,7 +125,10 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
         flat = flat[~np.isin(flat, added)]
         if not flat.size:
             metric[np.ix_(nodes, nodes)] = xm
-            return FractionalMetric(x=metric, objective=float(c @ x + const))
+            # cost times x's distance from the value the edge's sign wants:
+            # never negative, and an integral x sums as disagreement_cost does
+            terms = g.costs * np.abs(xm[local[:, 0], local[:, 1]] - ~pos)
+            return FractionalMetric(x=metric, objective=float(terms[terms > 0].sum()))
         added = np.concatenate([added, flat])
         i, j, l = np.unravel_index(added, (a, a, a))
         a_ub = sparse.csr_matrix(

@@ -9,7 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import check_pairs, parse_lines, read_lines, write_lines
+from .core import (check_pairs, has_duplicate_pairs, parse_lines,
+                   read_lines, write_lines)
 from .densities import LOG_FLOOR, _as_matrix
 from .edge_features import EdgeFeatureSet
 from .errors import ConfigError, DataError
@@ -131,7 +132,7 @@ class SignedWeightedGraph:
             n = int(every.max()) + 1 if len(every) else 0
         if n < 0:
             raise DataError(f"node count must be >= 0, got {n}")
-        if len(check_pairs(every, n)) != len(np.unique(every, axis=0)):
+        if has_duplicate_pairs(check_pairs(every, n)):
             raise DataError("a pair appears more than once")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "pairs", pairs)
@@ -144,16 +145,27 @@ class SignedWeightedGraph:
         return self.pairs.shape[0]
 
 
+def log_density(p, features: EdgeFeatureSet) -> np.ndarray:
+    """log p at each vector of ``features``: a density (anything with
+    logpdf_many) is evaluated there, else p is those values, one per pair."""
+    if hasattr(p, "logpdf_many"):
+        return p.logpdf_many(features.vectors)
+    values = np.asarray(p, dtype=float)
+    if values.shape != (len(features),):
+        raise DataError("log-densities must give one value per pair")
+    return values
+
+
 def build_signed_graph(features: EdgeFeatureSet, p1, p0,
                        sparsify_below: float = 0.0,
                        n: int = None) -> SignedWeightedGraph:
     """Label every pair by the sign of its log-odds log(P1(e)/P0(e)), clamped
     to +-50, and weight it by the absolute log-odds; pairs at or below the
     sparsification threshold (including exact ties P1 = P0) are dropped. A
-    NaN log-odds is a DataError."""
+    NaN log-odds is a DataError. P1 and P0 are read with log_density."""
     if not sparsify_below >= 0:
         raise ConfigError("sparsify threshold must be >= 0")
-    r = p1.logpdf_many(features.vectors) - p0.logpdf_many(features.vectors)
+    r = log_density(p1, features) - log_density(p0, features)
     nan = np.flatnonzero(np.isnan(r))
     if len(nan):
         i, j = features.pairs[nan[0]]

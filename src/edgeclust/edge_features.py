@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SampleSet, check_pairs
+from .core import SampleSet, check_pairs, has_duplicate_pairs
 from .errors import ConfigError, DataError
 
 SIMILARITY_KINDS = ("abs_diff", "euclidean")
@@ -41,7 +41,7 @@ class EdgeFeatureSet:
             raise DataError("edge feature dimension must be >= 1")
         if pairs.shape[0] and not np.all(pairs[:, 0] < pairs[:, 1]):
             raise DataError("pairs must satisfy i < j")
-        if len(np.unique(pairs, axis=0)) != pairs.shape[0]:
+        if has_duplicate_pairs(pairs):
             raise DataError("duplicate pairs in edge feature set")
         if not np.all(np.isfinite(vectors)):
             raise DataError("edge feature vectors must be finite")

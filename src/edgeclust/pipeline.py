@@ -18,7 +18,7 @@ from .core import (SampleSet, co_membership, report_json, score,
                    validate_partition)
 from .datagen import (SYNTHETIC_KINDS, EdgeLevelSpec, SyntheticSpec,
                       gen_edge_level, gen_synthetic, load_csv)
-from .density import DensityModel, build_signed_graph, kde_fit
+from .density import DensityModel, build_signed_graph, kde_fit, log_density
 from .edge_features import (EdgeFeatureSet, PcaModel, all_pairs,
                             build_edge_features, canonical_kind, pca_fit,
                             pca_transform, sample_labeled_pairs, sample_ranks)
@@ -280,17 +280,18 @@ def run_pipeline(cfg: RunConfig) -> ResultsReport:
                    lambda: fit_model(vectors, same, cfg.similarity, cfg.pca))
     features = model.project(features)
 
-    graph = _stage("graph", timing,
-                   lambda: build_signed_graph(features, model.p1, model.p0,
-                                              sparsify_below=cfg.sparsify,
-                                              n=truth.n))
+    def graph_stage():  # the likelihood stage reuses these log-densities
+        logs = [log_density(p, features) for p in (model.p1, model.p0)]
+        return logs, build_signed_graph(features, *logs,
+                                        sparsify_below=cfg.sparsify, n=truth.n)
+    logs, graph = _stage("graph", timing, graph_stage)
     partition, certificate = _stage(
         "solve", timing, lambda: cluster_graph(graph, cfg.algo, rng))
     scores = _stage("score", timing,
                     lambda: _scores(cfg, partition, truth, holdout_set, rng))
     likelihood = _stage(
         "likelihood", timing,
-        lambda: log_likelihood(partition, features, model.p1, model.p0).to_dict())
+        lambda: log_likelihood(partition, features, *logs).to_dict())
 
     report = ResultsReport(
         config=asdict(cfg),

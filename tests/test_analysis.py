@@ -64,6 +64,20 @@ class TestLogLikelihood:
                        - (rep.log_likelihood_g0 - rep.disagreement_term)) < 1e-8
             assert rep.disagreement_term >= 0.0
 
+    def test_evaluated_log_densities_give_identical_results(self):
+        # the pipeline passes the graph stage's arrays on to the likelihood
+        p1, p0, feats, rng = _kde_instance(5, n=7)
+        logs = p1.logpdf_many(feats.vectors), p0.logpdf_many(feats.vectors)
+        g, g_logs = (build_signed_graph(feats, a, b, sparsify_below=0.2)
+                     for a, b in ((p1, p0), logs))
+        for field in ("pairs", "signs", "costs", "dropped"):
+            assert np.array_equal(getattr(g, field), getattr(g_logs, field))
+        part = validate_partition(rng.integers(1, 4, size=7))
+        assert (log_likelihood(part, feats, p1, p0)
+                == log_likelihood(part, feats, *logs))
+        with pytest.raises(DataError, match="one value per pair"):
+            log_likelihood(part, feats, logs[0][:-1], p0)
+
     def test_theorem1_certificate_bound(self):
         # l(theta_hat) >= l(G0) - c1*ln(n+1)*DIS_opt with the exact oracle
         p1, p0, feats, _ = _kde_instance(11, n=6)

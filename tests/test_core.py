@@ -7,13 +7,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeclust.core import (Partition, co_membership, nmi, parse_lines,
-                            read_lines, score, validate_partition,
+from edgeclust.core import (Partition, co_membership, has_duplicate_pairs, nmi,
+                            parse_lines, read_lines, score, validate_partition,
                             write_lines)
 from edgeclust.errors import DataError
 
 labels_arrays = st.lists(st.integers(min_value=-5, max_value=5),
                          min_size=1, max_size=12).map(np.array)
+
+
+# small ids, so draws repeat rows, or ids over all of int64, where a key
+# built by arithmetic on the ids would overflow
+pair_ids = st.one_of(st.integers(-4, 4),
+                     st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(pair_ids, pair_ids), max_size=12))
+def test_duplicate_pairs_match_unique_rows(rows):
+    pairs = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    want = len(np.unique(pairs, axis=0)) != len(pairs)
+    assert has_duplicate_pairs(pairs) == want
+
+
+def test_duplicate_pairs_with_negative_ids():
+    # the key i * (max_j + 1) + j would map both rows to -3
+    assert not has_duplicate_pairs(np.array([[-2, -1], [-3, 5]]))
+    assert has_duplicate_pairs(np.array([[-3, 5], [0, 1], [-3, 5]]))
 
 
 class TestTextFiles:

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from edgeclust import corrclust
 from edgeclust.cli import _read_labels, cli, main
 from edgeclust.core import SampleSet, report_json, validate_partition, write_lines
-from edgeclust.density import read_graph_tsv
+from edgeclust.density import DensityModel, read_graph_tsv
 from edgeclust.errors import ConfigError, DataError
 from edgeclust.pipeline import (ResultsReport, RunConfig, fit_model, load_model,
                                 run_pipeline, save_model)
@@ -25,6 +25,12 @@ DISJOINT_SPEC = {
     "sizes": [4, 4],
     "p1": {"kind": "uniform", "low": [0.0], "high": [1.0]},
     "p0": {"kind": "uniform", "low": [2.0], "high": [3.0]},
+}
+
+EDGE_SPEC = {
+    "sizes": [15, 15, 15],
+    "p1": {"kind": "gaussian", "mean": [0.0, 0.0], "sigma": [1.0, 1.0]},
+    "p0": {"kind": "gaussian", "mean": [2.0, 2.0], "sigma": [1.0, 1.0]},
 }
 
 
@@ -118,6 +124,34 @@ class TestRunPipeline:
         rep = run_pipeline(small_cfg(algo="pivot"))
         assert rep.certificate is None
         assert rep.scores["structured"]["nmi"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(dataset="crossbones", seed=1, algo="lp", holdout=20,
+                  pairs=300),
+        RunConfig(dataset="crossbones", seed=1, algo="pivot", holdout=40,
+                  pairs=300),
+        RunConfig(dataset="edge_level", seed=1, sparsify=0.5,
+                  edge_spec=EDGE_SPEC),
+    ], ids=["crossbones_lp", "crossbones_pivot", "edge_level"])
+    def test_kde_evaluated_once_per_density(self, monkeypatch, cfg):
+        # the likelihood stage reuses the graph stage's log-densities
+        calls = []
+        logpdf_many = DensityModel.logpdf_many
+        monkeypatch.setattr(DensityModel, "logpdf_many",
+                            lambda m, x: calls.append(m) or logpdf_many(m, x))
+        run_pipeline(cfg)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("sparsify", [6.0, 10.0])
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_lp_bound_never_negative_nor_above_zero_cost(self, seed,
+                                                         sparsify):
+        # at these thresholds the kept edges agree with one partition, so
+        # the LP stops at the sign solution and the cost is 0
+        cert = run_pipeline(RunConfig(dataset="edge_level", seed=seed,
+                                      sparsify=sparsify,
+                                      edge_spec=EDGE_SPEC)).certificate
+        assert 0.0 <= cert["lp_lower_bound"] <= cert["rounded_cost"]
 
     @pytest.mark.slow
     def test_crossbones_default_learns_k(self):
