@@ -11,6 +11,8 @@ from .core import Partition, SampleSet, validate_partition
 from .errors import ConfigError, DataError
 
 KMEANS_RESTARTS = 10  # k-means++ runs per clustering; lowest inertia wins
+KMEANS_MAX_ITER = 300  # Lloyd iterations per run
+KMEANS_TOL = 1e-10  # a run stops once no center moves more (squared)
 
 
 @dataclass(frozen=True)
@@ -41,9 +43,9 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int = 300, tol: float = 1e-10):
+def _lloyd(x: np.ndarray, centers: np.ndarray):
     k = centers.shape[0]
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d2, axis=1)
         new_centers = centers.copy()
@@ -57,7 +59,7 @@ def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int = 300, tol: float =
                 new_centers[c] = x[far]
         shift = np.max(np.sum((new_centers - centers) ** 2, axis=1))
         centers = new_centers
-        if shift <= tol:
+        if shift <= KMEANS_TOL:
             break
     d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
     labels = np.argmin(d2, axis=1)
@@ -69,8 +71,10 @@ def kmeans_matrix(x: np.ndarray, k: int, rng: np.random.Generator):
     """Lloyd iterations with k-means++ seeding; the best of KMEANS_RESTARTS
     runs by inertia wins."""
     x = np.asarray(x, dtype=float)
-    if k < 1 or k > x.shape[0]:
-        raise DataError("k must be in 1..n")
+    if k < 1:
+        raise ConfigError("k must be >= 1")
+    if k > x.shape[0]:
+        raise DataError("k must be <= n")
     best_labels, best_inertia = None, np.inf
     for _ in range(KMEANS_RESTARTS):
         centers = _kmeans_pp_init(x, k, rng)

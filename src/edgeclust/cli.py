@@ -188,14 +188,15 @@ def certify(graph_path, labels, n, out):
 @click.option("--data", type=click.Path(exists=True), required=True)
 @click.option("--labels", type=click.Path(exists=True), default=None,
               help="labels file; defaults to the CSV's own labels")
+@click.option("--has-labels/--no-labels", default=True)
 @click.option("--out", type=click.Path(), required=True)
-def plot(data, labels, out):
+def plot(data, labels, has_labels, out):
     """Render a cluster scatter plot as a standalone SVG."""
-    s = load_csv(data, has_labels=labels is None)
-    if labels is not None:
-        part = validate_partition(_read_labels(labels))
-    else:
-        part = validate_partition(s.labels)
+    s = load_csv(data, has_labels=has_labels)
+    if labels is None and not has_labels:
+        raise ConfigError("--no-labels needs a --labels file")
+    part = validate_partition(s.labels if labels is None
+                              else _read_labels(labels))
     render_svg(SampleSet(features=s.features), part, out)
 
 

@@ -149,11 +149,16 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
 def round_regions(m: FractionalMetric, g: SignedWeightedGraph) -> Partition:
     """Deterministic region growing over the fractional metric.
 
-    Repeatedly seed at the lowest-indexed unassigned node, sweep radii over
-    the distinct LP distances below 1/2, and emit the first ball whose
-    positive cut is at most c1*ln(n+1) times its volume (LP volume seeded
-    with F/n). A node with no kept edge is at distance 1 from the rest, so
-    its only ball is itself.
+    Repeatedly seed at the lowest-indexed unassigned node u and try the balls
+    of unassigned nodes within each distinct LP distance r < 1/2 of u. Their
+    cut is the cost of the positive edges with the near end (to u) inside and
+    the far end outside; their volume, seeded with F/n, is base + rho*cut at
+    any rho >= r, each crossing edge counting up to rho from its near end.
+    Emit the first ball whose cut is at most c1*ln(n+1) times its volume at
+    its own radius, else the first that fits at the top of its interval (the
+    next radius, or 1/2). Some ball fits on an LP metric; a seed where none
+    does raises SolverError. A node with no kept edge is at distance 1 from
+    the rest, so its only ball is itself.
     """
     n = g.n
     if m.x.shape != (n, n):
@@ -163,48 +168,33 @@ def round_regions(m: FractionalMetric, g: SignedWeightedGraph) -> Partition:
     pos = g.signs > 0
     pi, pj = g.pairs[pos].T
     pc = g.costs[pos]
+    pw = pc * m.x[pi, pj]
     factor = approximation_factor(n)
     f_seed = m.objective / n
-    x = m.x
 
     unassigned = np.ones(n, dtype=bool)
     labels = np.zeros(n, dtype=int)
-    next_label = 0
-
-    def first_fit(u, balls, radii):
-        """The first ball whose positive cut is at most the factor times its
-        LP volume at the paired radius, both over unassigned nodes; None if
-        no ball fits."""
-        live = unassigned[pi] & unassigned[pj]
-        for ball, radius in zip(balls, radii):
-            in_i, in_j = ball[pi], ball[pj]
-            crossing = live & (in_i ^ in_j)
-            inside = live & in_i & in_j
-            vol = f_seed + np.sum(pc[inside] * x[pi[inside], pj[inside]])
-            if crossing.any():
-                anchor = np.where(in_i[crossing], pi[crossing], pj[crossing])
-                vol += np.sum(pc[crossing] * np.clip(radius - x[u, anchor], 0.0, None))
-            if pc[crossing].sum() <= factor * vol + 1e-12:
-                return ball
-        return None
-
     while unassigned.any():
         u = int(np.flatnonzero(unassigned)[0])
-        dists = x[u]
-        candidates = dists[unassigned & (dists < 0.5)]
-        radii = np.unique(np.concatenate([[0.0], candidates]))
-        balls = [unassigned & (dists <= r) for r in radii]
-        # test at the candidate radii first, then retry at each interval's
-        # upper end, where the volume is largest; the region-growing
-        # guarantee holds somewhere below 1/2
-        chosen = first_fit(u, balls, radii)
-        if chosen is None:
-            chosen = first_fit(u, balls, np.append(radii[1:], 0.5))
-        if chosen is None:
-            chosen = unassigned & (dists < 0.5)
-            chosen[u] = True
-        next_label += 1
-        labels[chosen] = next_label
+        dists = m.x[u]
+        live = unassigned[pi] & unassigned[pj]
+        near = np.minimum(dists[pi], dists[pj])[live]
+        far = np.maximum(dists[pi], dists[pj])[live]
+        c, w, cn = pc[live], pw[live], pc[live] * near
+        radii = np.unique(np.append(dists[unassigned & (dists < 0.5)], 0.0))
+        cut, base = np.empty(radii.size), np.empty(radii.size)
+        for k, r in enumerate(radii):
+            crossing = (near <= r) & (far > r)
+            cut[k] = c[crossing].sum()
+            base[k] = f_seed + w[far <= r].sum() - cn[crossing].sum()
+        # row 0 holds each ball's volume at its own radius, row 1 at the top
+        # of its interval, so the first fit in row-major order follows the rule
+        vol = base + np.stack([radii, np.append(radii[1:], 0.5)]) * cut
+        fits = np.flatnonzero(cut <= factor * vol + 1e-12)
+        if not fits.size:
+            raise SolverError(f"region growing found no ball around seed node {u}")
+        chosen = unassigned & (dists <= radii[fits[0] % radii.size])
+        labels[chosen] = labels.max() + 1
         unassigned &= ~chosen
     return validate_partition(labels)
 

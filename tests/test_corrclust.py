@@ -73,6 +73,69 @@ def kwik_cluster_lists(g, rng):
     return validate_partition(labels)
 
 
+def round_regions_two_pass(m, g):
+    """Region growing over a list of n-length ball masks, sized again in
+    each of two passes (own radius, then interval top), with a last-resort
+    ball of every unassigned node below 1/2: the reference the one-pass
+    form must match."""
+    n = g.n
+    pos = g.signs > 0
+    pi, pj = g.pairs[pos].T
+    pc = g.costs[pos]
+    factor = c1_constant(n) * math.log(n + 1)
+    f_seed = m.objective / n
+    x = m.x
+    unassigned = np.ones(n, dtype=bool)
+    labels = np.zeros(n, dtype=int)
+    next_label = 0
+
+    def first_fit(u, balls, radii):
+        live = unassigned[pi] & unassigned[pj]
+        for ball, radius in zip(balls, radii):
+            in_i, in_j = ball[pi], ball[pj]
+            crossing = live & (in_i ^ in_j)
+            inside = live & in_i & in_j
+            vol = f_seed + np.sum(pc[inside] * x[pi[inside], pj[inside]])
+            if crossing.any():
+                anchor = np.where(in_i[crossing], pi[crossing], pj[crossing])
+                vol += np.sum(pc[crossing]
+                              * np.clip(radius - x[u, anchor], 0.0, None))
+            if pc[crossing].sum() <= factor * vol + 1e-12:
+                return ball
+        return None
+
+    while unassigned.any():
+        u = int(np.flatnonzero(unassigned)[0])
+        dists = x[u]
+        candidates = dists[unassigned & (dists < 0.5)]
+        radii = np.unique(np.concatenate([[0.0], candidates]))
+        balls = [unassigned & (dists <= r) for r in radii]
+        chosen = first_fit(u, balls, radii)
+        if chosen is None:
+            chosen = first_fit(u, balls, np.append(radii[1:], 0.5))
+        if chosen is None:
+            chosen = unassigned & (dists < 0.5)
+            chosen[u] = True
+        next_label += 1
+        labels[chosen] = next_label
+        unassigned &= ~chosen
+    return validate_partition(labels)
+
+
+@st.composite
+def small_signed_graphs(draw):
+    """Signed graphs of at most 12 nodes: often sparse, with isolated
+    nodes, tiny or tied costs, and mixed signs that make the LP metric
+    fractional."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    kept = draw(st.lists(st.sampled_from(pairs), unique=True)
+                if pairs else st.just([]))
+    cost = st.one_of(st.sampled_from([1e-9, 1e-3, 1.0]), st.floats(1e-6, 10.0))
+    return make_graph(n, [(i, j, draw(st.sampled_from([-1, 1])), draw(cost))
+                          for i, j in kept])
+
+
 class TestDisagreementCost:
     def test_triangle_single_cluster(self):
         g = unit_triangle()
@@ -235,6 +298,22 @@ class TestRoundRegions:
     def test_graph_without_nodes_rejected(self):
         with pytest.raises(DataError, match="no nodes"):
             solve(make_graph(0, []))
+
+    @given(small_signed_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_two_pass_loop(self, g):
+        m = lp_relax(g)
+        want = round_regions_two_pass(m, g)
+        assert np.array_equal(round_regions(m, g).labels, want.labels)
+
+    def test_no_fitting_ball_raises(self, monkeypatch):
+        # the heavy negative edge puts nodes 1 and 2 at distance 1, so every
+        # LP optimum cuts a positive edge of node 0 at each radius below 1/2
+        # and, with factor 0, no ball fits
+        g = make_graph(3, [(0, 1, 1, 1.0), (0, 2, 1, 1.0), (1, 2, -1, 10.0)])
+        monkeypatch.setattr(corrclust, "approximation_factor", lambda n: 0.0)
+        with pytest.raises(SolverError, match="seed node 0"):
+            solve(g)
 
     def test_isolated_nodes_become_singletons(self):
         g = make_graph(5, [(0, 1, 1, 1.0)], )

@@ -376,6 +376,34 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert out.read_text().count("<circle") == 20
 
+    def test_plot_with_labels_file_drops_label_column(self, tmp_path):
+        # the CSV's own labels given as a file draw the same plot, so the
+        # label column is not plotted as a third feature; unlabeled data
+        # takes --no-labels and a labels file
+        runner = CliRunner()
+        data = tmp_path / "data.csv"
+        res = runner.invoke(cli, ["gen", "--kind", "crossbones", "--n", "20",
+                                  "--seed", "1", "--out", str(data)])
+        assert res.exit_code == 0, res.output
+        rows = [line.rsplit(",", 1) for line in data.read_text().splitlines()]
+        labels, features = tmp_path / "labels.txt", tmp_path / "features.csv"
+        write_lines(labels, (label for _, label in rows))
+        write_lines(features, (feats for feats, _ in rows))
+        svgs = []
+        for args in (["--data", str(data)],
+                     ["--data", str(data), "--labels", str(labels)],
+                     ["--data", str(features), "--no-labels",
+                      "--labels", str(labels)]):
+            out = tmp_path / f"plot{len(svgs)}.svg"
+            res = runner.invoke(cli, ["plot", *args, "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            svgs.append(out.read_text())
+        assert svgs[1] == svgs[0] and svgs[2] == svgs[0]
+        res = runner.invoke(cli, ["plot", "--data", str(features), "--no-labels",
+                                  "--out", str(tmp_path / "none.svg")],
+                            standalone_mode=False)
+        assert isinstance(res.exception, ConfigError)
+
     def test_pipeline_command_with_edge_spec(self, tmp_path):
         runner = CliRunner()
         spec = tmp_path / "spec.json"
@@ -490,6 +518,14 @@ class TestCli:
             assert exit_code(monkeypatch, [
                 "graph", "--data", str(data), "--model", str(bad_model),
                 "--out", str(tmp_path / "g.tsv")]) == 3
+        # a k below 1 is a config error for both baselines, a k above n a
+        # data error
+        for method in ("kmeans", "spectral"):
+            for k, code in (("0", 2), ("41", 3)):
+                assert exit_code(monkeypatch, [
+                    "baseline", "--data", str(data), "--method", method,
+                    "--k", k, "--seed", "1",
+                    "--out", str(tmp_path / "base.txt")]) == code, (method, k)
         # an LP that runs out of constraint-generation rounds -> 4
         graph = tmp_path / "triangle.tsv"
         graph.write_text("0\t1\t+1\t1\n0\t2\t+1\t1\n1\t2\t-1\t1\n")
