@@ -24,6 +24,7 @@ TRIANGLE_TOL = 1e-6
 MAX_ROUNDS = 200   # separation rounds, each with at most one solve
 ORACLE_MAX_N = 12  # Bell(12) ~ 4.2e6 partitions for brute_force_optimum
 _SNAP = 1e-9
+_BLOCK_ELEMENTS = 2 ** 16  # triangle violations held by one separation block
 
 
 def c1_constant(n: int) -> float:
@@ -46,7 +47,8 @@ class FractionalMetric:
     objective: float
 
     def max_triangle_violation(self) -> float:
-        return float(_triangle_violations(self.x).max(initial=0.0))
+        return max((float(v.max(initial=0.0)) for _, v in _violation_blocks(self.x)),
+                   default=0.0)
 
 
 @dataclass(frozen=True)
@@ -76,9 +78,15 @@ def disagreement_cost(g: SignedWeightedGraph, p: Partition) -> float:
     return float(_disagreements(g.signs > 0, g.costs, co_membership(p, g.pairs)))
 
 
-def _triangle_violations(x: np.ndarray) -> np.ndarray:
-    """(a, a, a) tensor of x_ij - x_il - x_lj for a symmetric x."""
-    return x[:, :, None] - x[:, None, :] - x[None, :, :]
+def _violation_blocks(x: np.ndarray):
+    """(i0, block) pairs that cover the (a, a, a) tensor x_ij - x_il - x_lj
+    of a symmetric x in blocks of consecutive rows i starting at i0, each
+    block at most _BLOCK_ELEMENTS entries (one row i when a row is larger)."""
+    a = x.shape[0]
+    rows = max(1, _BLOCK_ELEMENTS // max(1, a * a))
+    for i0 in range(0, a, rows):
+        xi = x[i0:i0 + rows]
+        yield i0, xi[:, :, None] - xi[:, None, :] - x[None, :, :]
 
 
 def _violated_triangles(x: np.ndarray, tol: float) -> np.ndarray:
@@ -87,10 +95,15 @@ def _violated_triangles(x: np.ndarray, tol: float) -> np.ndarray:
     first (ties in id order). With x_ii = 0 every l in {i, j} violates by
     exactly 0, so tol > 0 keeps l distinct from both."""
     a = x.shape[0]
-    viol = _triangle_violations(x)
-    viol[np.tril_indices(a)] = 0.0
-    flat = np.flatnonzero(viol > tol)
-    return flat[np.argsort(-viol.ravel()[flat], kind="stable")]
+    ids, vals = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for i0, viol in _violation_blocks(x):
+        viol[np.arange(a) <= np.arange(i0, i0 + len(viol))[:, None]] = 0.0
+        hit = np.flatnonzero(viol > tol)
+        ids.append(hit + i0 * a * a)
+        vals.append(viol.ravel()[hit])
+    # blocks come in id order, so the stable sort breaks ties by id
+    ids, vals = np.concatenate(ids), np.concatenate(vals)
+    return ids[np.argsort(-vals, kind="stable")]
 
 
 def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
@@ -136,8 +149,12 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
              (np.repeat(np.arange(added.size), 3),
               np.stack([var[i, j], var[i, l], var[l, j]], axis=1).ravel())),
             shape=(added.size, nvars))
+        # the LP is feasible (x = 0) and bounded, so presolve finds nothing;
+        # it only costs time, and on sparsified graphs its vertex tends to
+        # violate triangles not yet added, which costs another round
         res = linprog(c, A_ub=a_ub, b_ub=np.zeros(added.size),
-                      bounds=(0.0, 1.0), method="highs")
+                      bounds=(0.0, 1.0), method="highs",
+                      options={"presolve": False})
         if not res.success:
             raise SolverError(f"LP solve failed: {res.message}")
         x = np.asarray(res.x)

@@ -4,6 +4,13 @@ import pytest
 
 from edgeclust.density import SignedWeightedGraph
 
+# the edge-level spec of perfbench's edge_level_batch: three clusters of 15
+EDGE_SPEC = {
+    "sizes": [15, 15, 15],
+    "p1": {"kind": "gaussian", "mean": [0.0, 0.0], "sigma": [1.0, 1.0]},
+    "p0": {"kind": "gaussian", "mean": [2.0, 2.0], "sigma": [1.0, 1.0]},
+}
+
 
 def make_graph(n, edges):
     """Build a SignedWeightedGraph from (i, j, sign, cost) tuples."""

@@ -1,20 +1,22 @@
 """LP relaxation, region-growing rounding, pivot heuristic, and the exact
 oracle for weighted MinimizeDisagreements."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from conftest import make_graph, random_graph, unit_triangle
+from conftest import EDGE_SPEC, make_graph, random_graph, unit_triangle
 from edgeclust import corrclust
 from edgeclust.core import validate_partition
 from edgeclust.corrclust import (FractionalMetric, TRIANGLE_TOL,
                                  brute_force_optimum, c1_constant,
                                  disagreement_cost, kwik_cluster, lp_relax,
-                                 round_regions, solve, _set_partitions,
-                                 _violated_triangles)
+                                 round_regions, solve, _BLOCK_ELEMENTS,
+                                 _set_partitions, _violated_triangles)
 from edgeclust.errors import DataError, SolverError
 from edgeclust.pipeline import RunConfig, run_pipeline
 
@@ -33,6 +35,30 @@ def naive_violations(x, tol):
                     if v > tol:
                         found.append((float(v), (i * a + j) * a + l))
     return found
+
+
+def full_lp_objective(g):
+    """Optimum of the metric LP over all g.n >= 3 nodes with every triangle
+    row, from one scipy linprog call with scipy's defaults; the objective
+    counts each negative edge's cost C_ij*(1 - x_ij)."""
+    n = g.n
+    iu = np.triu_indices(n, k=1)
+    var = np.zeros((n, n), dtype=int)
+    var[iu] = np.arange(iu[0].size)
+    var = var + var.T
+    pos = g.signs > 0
+    c = np.zeros(iu[0].size)
+    c[var[g.pairs[:, 0], g.pairs[:, 1]]] = np.where(pos, g.costs, -g.costs)
+    rows = [(var[i, j], var[i, l], var[l, j]) for i in range(n)
+            for j in range(i + 1, n) for l in range(n) if l not in (i, j)]
+    a_ub = np.zeros((len(rows), c.size))
+    for r, (ij, il, lj) in enumerate(rows):
+        a_ub[r, ij] += 1.0
+        a_ub[r, il] -= 1.0
+        a_ub[r, lj] -= 1.0
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(len(rows)), bounds=(0.0, 1.0))
+    assert res.success
+    return res.fun + g.costs[~pos].sum()
 
 
 def tied_symmetric(a, rng):
@@ -123,11 +149,11 @@ def round_regions_two_pass(m, g):
 
 
 @st.composite
-def small_signed_graphs(draw):
-    """Signed graphs of at most 12 nodes: often sparse, with isolated
+def small_signed_graphs(draw, min_n=1, max_n=12):
+    """Signed graphs of min_n to max_n nodes: often sparse, with isolated
     nodes, tiny or tied costs, and mixed signs that make the LP metric
     fractional."""
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(min_n, max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     kept = draw(st.lists(st.sampled_from(pairs), unique=True)
                 if pairs else st.just([]))
@@ -166,6 +192,30 @@ class TestViolatedTriangles:
             found = naive_violations(x, TRIANGLE_TOL)
             want = [t for _, t in sorted(found, key=lambda f: -f[0])]
             assert _violated_triangles(x, TRIANGLE_TOL).tolist() == want
+
+    @pytest.mark.parametrize("a", [41, 50])
+    def test_matches_triple_loop_across_blocks(self, a):
+        assert _BLOCK_ELEMENTS // (a * a) < a  # more than one block of rows
+        x = tied_symmetric(a, np.random.default_rng(a))
+        found = naive_violations(x, TRIANGLE_TOL)
+        want = [t for _, t in sorted(found, key=lambda f: -f[0])]
+        assert _violated_triangles(x, TRIANGLE_TOL).tolist() == want
+        assert FractionalMetric(x=x, objective=0.0).max_triangle_violation() \
+            == max(v for v, _ in found)
+
+    def test_memory_bounded_by_block(self):
+        """Separation holds one block of violations at a time, not an
+        (a, a, a) tensor: at a = 100 (8 MB as a tensor), with about 79,000
+        violated triangles to return, it peaks under 4 MB."""
+        x = tied_symmetric(100, np.random.default_rng(5))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _violated_triangles(x, TRIANGLE_TOL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestLpRelax:
@@ -250,6 +300,28 @@ class TestLpRelax:
         assert len(metrics) == 1
         assert len(solves) <= 2
         assert metrics[0].max_triangle_violation() <= TRIANGLE_TOL
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_one_solve_per_sparse_edge_level_instance(self, monkeypatch, seed):
+        # the first vertex HiGHS returns without presolve violates none of
+        # the triangles left out of its rows
+        solves = []
+        linprog = corrclust.linprog
+
+        def counted_linprog(*args, **kwargs):
+            solves.append(kwargs["A_ub"])
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(corrclust, "linprog", counted_linprog)
+        run_pipeline(RunConfig(dataset="edge_level", seed=seed, algo="lp",
+                               sparsify=0.5, edge_spec=EDGE_SPEC))
+        assert len(solves) == 1
+
+    @given(small_signed_graphs(min_n=3, max_n=8))
+    @settings(max_examples=60, deadline=None)
+    def test_objective_equals_full_lp(self, g):
+        # lazy rows reach the optimum of the LP that holds every row
+        assert abs(lp_relax(g).objective - full_lp_objective(g)) <= 1e-7
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)

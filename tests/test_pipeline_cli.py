@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import EDGE_SPEC
 from edgeclust import corrclust
 from edgeclust.cli import _read_labels, cli, main
 from edgeclust.core import SampleSet, report_json, validate_partition, write_lines
@@ -25,12 +26,6 @@ DISJOINT_SPEC = {
     "sizes": [4, 4],
     "p1": {"kind": "uniform", "low": [0.0], "high": [1.0]},
     "p0": {"kind": "uniform", "low": [2.0], "high": [3.0]},
-}
-
-EDGE_SPEC = {
-    "sizes": [15, 15, 15],
-    "p1": {"kind": "gaussian", "mean": [0.0, 0.0], "sigma": [1.0, 1.0]},
-    "p0": {"kind": "gaussian", "mean": [2.0, 2.0], "sigma": [1.0, 1.0]},
 }
 
 
