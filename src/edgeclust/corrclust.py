@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult
+from scipy.optimize._highspy import _core as highs
 
 from .core import Partition, co_membership, validate_partition
 from .density import SignedWeightedGraph
@@ -106,6 +107,42 @@ def _violated_triangles(x: np.ndarray, tol: float) -> np.ndarray:
     return ids[np.argsort(-vals, kind="stable")]
 
 
+def linprog(c: np.ndarray, A_ub: sparse.csr_array,
+            b_ub: np.ndarray) -> OptimizeResult:
+    """Solve min c.x s.t. A_ub x <= b_ub, 0 <= x <= 1 by one cold HiGHS
+    dual simplex with presolve off, through scipy's bundled HiGHS bindings.
+
+    Returns x, slack = b_ub - A_ub x, nit (simplex iterations), success
+    (optimal) and HiGHS's model-status text as message. lp_relax calls it
+    through this module global with A_ub by keyword, the name and arguments
+    that perfbench's tracer and the tests wrap. The metric LP is feasible
+    (x = 0) and bounded, so presolve has nothing to detect; it only costs
+    time, and on sparsified graphs its vertex tends to violate triangles not
+    yet added, which costs another round."""
+    m, n = A_ub.shape
+    h = highs._Highs()
+    h.setOptionValue("output_flag", False)
+    h.setOptionValue("presolve", "off")
+    # run() solves whatever a rejected passModel leaves behind, and may call
+    # it optimal, so a rejected model never reaches run()
+    solved, status = False, highs.HighsModelStatus.kModelError
+    if h.passModel(
+            n, m, A_ub.nnz, int(highs.MatrixFormat.kRowwise),
+            int(highs.ObjSense.kMinimize), 0.0, c, np.zeros(n), np.ones(n),
+            np.full(m, -highs.kHighsInf), b_ub, A_ub.indptr, A_ub.indices,
+            A_ub.data, np.zeros(n, dtype=np.int32)) != highs.HighsStatus.kError:
+        solved = h.run() != highs.HighsStatus.kError
+        status = h.getModelStatus()
+    message = h.modelStatusToString(status)
+    if not solved or status != highs.HighsModelStatus.kOptimal:
+        return OptimizeResult(success=False, message=message)
+    solution = h.getSolution()
+    return OptimizeResult(x=np.array(solution.col_value),
+                          slack=b_ub - solution.row_value,
+                          nit=h.getInfo().simplex_iteration_count,
+                          success=True, message=message)
+
+
 def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     """Solve the metric LP relaxation with lazy triangle-constraint
     generation, starting from the rowless optimum: each variable at the
@@ -144,20 +181,15 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
             return FractionalMetric(x=metric, objective=float(terms[terms > 0].sum()))
         added = np.concatenate([added, flat])
         i, j, l = np.unravel_index(added, (a, a, a))
-        a_ub = sparse.csr_matrix(
+        a_ub = sparse.csr_array(
             (np.tile([1.0, -1.0, -1.0], added.size),
-             (np.repeat(np.arange(added.size), 3),
-              np.stack([var[i, j], var[i, l], var[l, j]], axis=1).ravel())),
+             np.stack([var[i, j], var[i, l], var[l, j]], axis=1).ravel(),
+             np.arange(0, 3 * added.size + 1, 3)),
             shape=(added.size, nvars))
-        # the LP is feasible (x = 0) and bounded, so presolve finds nothing;
-        # it only costs time, and on sparsified graphs its vertex tends to
-        # violate triangles not yet added, which costs another round
-        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(added.size),
-                      bounds=(0.0, 1.0), method="highs",
-                      options={"presolve": False})
+        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(added.size))
         if not res.success:
             raise SolverError(f"LP solve failed: {res.message}")
-        x = np.asarray(res.x)
+        x = res.x
         x[x < _SNAP] = 0.0
         x[x > 1.0 - _SNAP] = 1.0
     raise SolverError("lazy triangle generation exceeded its round budget")

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy import sparse
+from scipy.optimize import OptimizeResult, linprog
 
 from conftest import EDGE_SPEC, make_graph, random_graph, unit_triangle
 from edgeclust import corrclust
@@ -59,6 +60,34 @@ def full_lp_objective(g):
     res = linprog(c, A_ub=a_ub, b_ub=np.zeros(len(rows)), bounds=(0.0, 1.0))
     assert res.success
     return res.fun + g.costs[~pos].sum()
+
+
+def round_lps(run, *args):
+    """(c, A_ub, b_ub, result) of every corrclust.linprog call that
+    run(*args) makes, with x copied before lp_relax snaps it in place."""
+    calls, entry = [], corrclust.linprog
+
+    def recorded(c, A_ub, b_ub):
+        res = entry(c, A_ub=A_ub, b_ub=b_ub)
+        calls.append((c, A_ub, b_ub, OptimizeResult(res, x=res.x.copy())))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corrclust, "linprog", recorded)
+        run(*args)
+    return calls
+
+
+def assert_entry_matches_scipy(calls):
+    """Each recorded entry result equals scipy's public linprog with the
+    same bounds, method and presolve setting, bitwise on x, slack and nit."""
+    for c, a_ub, b_ub, res in calls:
+        want = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs",
+                       options={"presolve": False})
+        assert res.success and want.success
+        assert np.array_equal(res.x, want.x)
+        assert np.array_equal(res.slack, want.slack)
+        assert res.nit == want.nit
 
 
 def tied_symmetric(a, rng):
@@ -279,6 +308,12 @@ class TestLpRelax:
         with pytest.raises(SolverError, match="round budget"):
             lp_relax(unit_triangle())
 
+    def test_failed_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(corrclust, "linprog", lambda c, A_ub, b_ub:
+                            OptimizeResult(success=False, message="Infeasible"))
+        with pytest.raises(SolverError, match="LP solve failed: Infeasible"):
+            lp_relax(unit_triangle())
+
     def test_every_violated_triangle_added_each_round(self, monkeypatch):
         # each round adds every violated row, so this instance is feasible
         # after its second solve
@@ -346,6 +381,35 @@ class TestLpRelax:
             assert m.max_triangle_violation() <= TRIANGLE_TOL
             assert np.all(m.x >= 0.0) and np.all(m.x <= 1.0)
             assert np.allclose(np.diag(m.x), 0.0)
+
+
+class TestHighsEntry:
+    @given(small_signed_graphs(min_n=3, max_n=8))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_linprog_on_small_graphs(self, g):
+        assert_entry_matches_scipy(round_lps(lp_relax, g))
+
+    def test_matches_scipy_linprog_on_crossbones(self):
+        calls = round_lps(run_pipeline, RunConfig(
+            dataset="crossbones", algo="lp", holdout=45, pairs=500,
+            noise=0.03, seed=13))
+        assert calls
+        assert_entry_matches_scipy(calls)
+
+    def test_infeasible_lp_reports_status(self):
+        res = corrclust.linprog(np.array([1.0]),
+                                A_ub=sparse.csr_array(np.array([[1.0]])),
+                                b_ub=np.array([-1.0]))
+        assert not res.success
+        assert res.message == "Infeasible"
+
+    def test_rejected_model_reports_status(self):
+        # one row that names column 0 twice: passModel refuses the matrix
+        a_ub = sparse.csr_array((np.array([1.0, -1.0]), np.array([0, 0]),
+                                 np.array([0, 2])), shape=(1, 2))
+        res = corrclust.linprog(np.ones(2), A_ub=a_ub, b_ub=np.zeros(1))
+        assert not res.success
+        assert res.message == "Model error"
 
 
 class TestRoundRegions:
