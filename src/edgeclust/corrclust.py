@@ -9,13 +9,15 @@ exact Bell-enumeration oracle are provided alongside.
 """
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
+from collections import namedtuple
 from dataclasses import asdict, dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import OptimizeResult
-from scipy.optimize._highspy import _core as highs
 
 from .core import Partition, co_membership, validate_partition
 from .density import SignedWeightedGraph
@@ -26,6 +28,25 @@ MAX_ROUNDS = 200   # separation rounds, each with at most one solve
 ORACLE_MAX_N = 12  # Bell(12) ~ 4.2e6 partitions for brute_force_optimum
 _SNAP = 1e-9
 _BLOCK_ELEMENTS = 2 ** 16  # triangle violations held by one separation block
+_HIGHS = "scipy.optimize._highspy._core"  # the one scipy module edgeclust uses
+
+
+def _load_highs():
+    """scipy's compiled HiGHS module, loaded from its file without importing
+    scipy's Python packages, under its own name so scipy shares it."""
+    scipy = importlib.util.find_spec("scipy")  # locates scipy, runs none of it
+    stem = os.path.join(scipy.submodule_search_locations[0] if scipy else "scipy",
+                        "optimize", "_highspy", "_core")
+    path = next((stem + s for s in EXTENSION_SUFFIXES if os.path.isfile(stem + s)), None)
+    if path is None:
+        raise ImportError(f"edgeclust needs scipy>=1.15: no {stem}{EXTENSION_SUFFIXES[0]}")
+    spec = importlib.util.spec_from_file_location(_HIGHS, path)
+    sys.modules[_HIGHS] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+highs = sys.modules.get(_HIGHS) or _load_highs()
 
 
 def c1_constant(n: int) -> float:
@@ -107,18 +128,20 @@ def _violated_triangles(x: np.ndarray, tol: float) -> np.ndarray:
     return ids[np.argsort(-vals, kind="stable")]
 
 
-def linprog(c: np.ndarray, A_ub: sparse.csr_array,
-            b_ub: np.ndarray) -> OptimizeResult:
-    """Solve min c.x s.t. A_ub x <= b_ub, 0 <= x <= 1 by one cold HiGHS
-    dual simplex with presolve off, through scipy's bundled HiGHS bindings.
+# the CSR fields linprog reads, which a scipy csr_array has too
+CsrRows = namedtuple("CsrRows", "data indices indptr shape")
+LPResult = namedtuple("LPResult", "success message x slack nit", defaults=(None, None, 0))
 
-    Returns x, slack = b_ub - A_ub x, nit (simplex iterations), success
-    (optimal) and HiGHS's model-status text as message. lp_relax calls it
-    through this module global with A_ub by keyword, the name and arguments
-    that perfbench's tracer and the tests wrap. The metric LP is feasible
-    (x = 0) and bounded, so presolve has nothing to detect; it only costs
-    time, and on sparsified graphs its vertex tends to violate triangles not
-    yet added, which costs another round."""
+
+def linprog(c: np.ndarray, A_ub: CsrRows, b_ub: np.ndarray) -> LPResult:
+    """Solve min c.x s.t. A_ub x <= b_ub, 0 <= x <= 1 by one cold HiGHS dual
+    simplex with presolve off. Returns success (optimal), HiGHS's model
+    status text as message and, on success, x, slack = b_ub - A_ub x and nit
+    (simplex iterations). lp_relax calls it through this module global with
+    A_ub by keyword, as perfbench's tracer and the tests expect. The LP is
+    feasible (x = 0) and bounded, so presolve has nothing to detect; it only
+    costs time, and on sparsified graphs its vertex tends to violate
+    triangles not yet added, which costs another round."""
     m, n = A_ub.shape
     h = highs._Highs()
     h.setOptionValue("output_flag", False)
@@ -127,7 +150,7 @@ def linprog(c: np.ndarray, A_ub: sparse.csr_array,
     # it optimal, so a rejected model never reaches run()
     solved, status = False, highs.HighsModelStatus.kModelError
     if h.passModel(
-            n, m, A_ub.nnz, int(highs.MatrixFormat.kRowwise),
+            n, m, int(A_ub.indptr[-1]), int(highs.MatrixFormat.kRowwise),
             int(highs.ObjSense.kMinimize), 0.0, c, np.zeros(n), np.ones(n),
             np.full(m, -highs.kHighsInf), b_ub, A_ub.indptr, A_ub.indices,
             A_ub.data, np.zeros(n, dtype=np.int32)) != highs.HighsStatus.kError:
@@ -135,12 +158,11 @@ def linprog(c: np.ndarray, A_ub: sparse.csr_array,
         status = h.getModelStatus()
     message = h.modelStatusToString(status)
     if not solved or status != highs.HighsModelStatus.kOptimal:
-        return OptimizeResult(success=False, message=message)
+        return LPResult(False, message)
     solution = h.getSolution()
-    return OptimizeResult(x=np.array(solution.col_value),
-                          slack=b_ub - solution.row_value,
-                          nit=h.getInfo().simplex_iteration_count,
-                          success=True, message=message)
+    return LPResult(True, message, x=np.array(solution.col_value),
+                    slack=b_ub - solution.row_value,
+                    nit=h.getInfo().simplex_iteration_count)
 
 
 def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
@@ -181,11 +203,9 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
             return FractionalMetric(x=metric, objective=float(terms[terms > 0].sum()))
         added = np.concatenate([added, flat])
         i, j, l = np.unravel_index(added, (a, a, a))
-        a_ub = sparse.csr_array(
-            (np.tile([1.0, -1.0, -1.0], added.size),
-             np.stack([var[i, j], var[i, l], var[l, j]], axis=1).ravel(),
-             np.arange(0, 3 * added.size + 1, 3)),
-            shape=(added.size, nvars))
+        a_ub = CsrRows(np.tile([1.0, -1.0, -1.0], added.size),
+                       np.stack([var[i, j], var[i, l], var[l, j]], axis=1).ravel(),
+                       np.arange(0, 3 * added.size + 1, 3), (added.size, nvars))
         res = linprog(c, A_ub=a_ub, b_ub=np.zeros(added.size))
         if not res.success:
             raise SolverError(f"LP solve failed: {res.message}")

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError, DataError
 
@@ -122,7 +121,16 @@ class MixtureDensity:
     def logpdf_many(self, x) -> np.ndarray:
         x = _as_matrix(x, self.d)
         logs = np.stack([c.logpdf_many(x) for c in self.components], axis=1)
-        return logsumexp(logs, axis=1, b=self.weights)
+        # scipy's logsumexp(logs, axis=1, b=weights): a zero weight adds nothing
+        logs[:, self.weights == 0] = -np.inf
+        top = logs.max(axis=1, keepdims=True)
+        at_top = logs == top
+        m = np.sum(self.weights * at_top, axis=1)  # weight of the row max
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s = np.sum(self.weights * np.exp(np.where(at_top, -np.inf, logs) - top), 1)
+            out = np.log1p(s / m) + np.log(m) + top[:, 0]
+            direct = np.log(np.sum(self.weights * np.exp(logs), axis=1))
+        return np.where(np.isfinite(out), out, direct)  # all -inf, NaN, +inf rows
 
 
 def parse_density(spec: dict):

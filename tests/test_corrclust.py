@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import linprog
 
 from conftest import EDGE_SPEC, make_graph, random_graph, unit_triangle
 from edgeclust import corrclust
 from edgeclust.core import validate_partition
-from edgeclust.corrclust import (FractionalMetric, TRIANGLE_TOL,
-                                 brute_force_optimum, c1_constant,
+from edgeclust.corrclust import (CsrRows, FractionalMetric, LPResult,
+                                 TRIANGLE_TOL, brute_force_optimum, c1_constant,
                                  disagreement_cost, kwik_cluster, lp_relax,
                                  round_regions, solve, _BLOCK_ELEMENTS,
                                  _set_partitions, _violated_triangles)
@@ -69,7 +69,7 @@ def round_lps(run, *args):
 
     def recorded(c, A_ub, b_ub):
         res = entry(c, A_ub=A_ub, b_ub=b_ub)
-        calls.append((c, A_ub, b_ub, OptimizeResult(res, x=res.x.copy())))
+        calls.append((c, A_ub, b_ub, res._replace(x=res.x.copy())))
         return res
 
     with pytest.MonkeyPatch.context() as mp:
@@ -79,9 +79,12 @@ def round_lps(run, *args):
 
 
 def assert_entry_matches_scipy(calls):
-    """Each recorded entry result equals scipy's public linprog with the
-    same bounds, method and presolve setting, bitwise on x, slack and nit."""
-    for c, a_ub, b_ub, res in calls:
+    """Each recorded entry result equals scipy's public linprog, given the
+    same rows as a csr_array, bounds, method and presolve setting, bitwise on
+    x, slack and nit."""
+    for c, rows, b_ub, res in calls:
+        a_ub = sparse.csr_array((rows.data, rows.indices, rows.indptr),
+                                shape=rows.shape)
         want = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs",
                        options={"presolve": False})
         assert res.success and want.success
@@ -310,7 +313,7 @@ class TestLpRelax:
 
     def test_failed_solve_raises(self, monkeypatch):
         monkeypatch.setattr(corrclust, "linprog", lambda c, A_ub, b_ub:
-                            OptimizeResult(success=False, message="Infeasible"))
+                            LPResult(success=False, message="Infeasible"))
         with pytest.raises(SolverError, match="LP solve failed: Infeasible"):
             lp_relax(unit_triangle())
 
@@ -405,8 +408,8 @@ class TestHighsEntry:
 
     def test_rejected_model_reports_status(self):
         # one row that names column 0 twice: passModel refuses the matrix
-        a_ub = sparse.csr_array((np.array([1.0, -1.0]), np.array([0, 0]),
-                                 np.array([0, 2])), shape=(1, 2))
+        a_ub = CsrRows(np.array([1.0, -1.0]), np.array([0, 0]),
+                       np.array([0, 2]), (1, 2))
         res = corrclust.linprog(np.ones(2), A_ub=a_ub, b_ub=np.zeros(1))
         assert not res.success
         assert res.message == "Model error"

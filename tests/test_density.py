@@ -59,6 +59,43 @@ def test_mixture_weights_near_the_float_limit_normalize():
     assert np.isfinite(mix.logpdf_many([[0.0]])).all()
 
 
+class FixedLogs:
+    """Mixture component whose log-density at query i is column[i]."""
+
+    d = 1
+
+    def __init__(self, column):
+        self.column = column
+
+    def logpdf_many(self, x):
+        return self.column
+
+
+def test_mixture_logsumexp_matches_scipy(rng):
+    """The mixture's numpy log-sum-exp against scipy's weighted logsumexp:
+    exact on the edge rows (all -inf, a NaN, at -1e300, a tied maximum) and
+    with a zero weight, to 1e-14 relative on random rows."""
+    logs = rng.normal(scale=50.0, size=(500, 4))
+    logs[0] = -INF
+    logs[1, 2] = NAN
+    logs[2] = -1e300
+    logs[3, :2], logs[3, 2:] = -1e300, -INF
+    logs[4, [0, 3]] = logs[4].max() + 1.0
+    mix = MixtureDensity(tuple(FixedLogs(col) for col in logs.T),
+                         rng.uniform(0.1, 3.0, size=4))
+    got = mix.logpdf_many(np.zeros((len(logs), 1)))
+    want = logsumexp(logs, axis=1, b=mix.weights)
+    assert np.array_equal(got[:5], want[:5], equal_nan=True)
+    assert got[0] == -INF and np.isnan(got[1]) and got[2] == got[3] == -1e300
+    np.testing.assert_allclose(got[5:], want[5:], rtol=1e-14, atol=0.0)
+    # a weight that normalizes to 0 adds nothing, even at the row max
+    tiny = MixtureDensity(tuple(FixedLogs(col) for col in logs[5:, :2].T),
+                          [5e-324, 1e10])
+    assert tiny.weights[0] == 0.0
+    assert np.array_equal(tiny.logpdf_many(np.zeros((len(logs) - 5, 1))),
+                          logsumexp(logs[5:, :2], axis=1, b=tiny.weights))
+
+
 def log_odds(p1, p0, xs):
     """Per-point (signs, costs) of the clamped log-odds, read off the signed
     graph over pairs (0, t+1); a pair dropped at threshold 0 is an exact tie
