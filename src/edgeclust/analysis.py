@@ -3,7 +3,7 @@ the log-likelihood into the log-odds-graph term minus disagreement costs, and
 the restricted-KL expected-disagreement estimator."""
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +22,6 @@ class LikelihoodReport:
     log_likelihood_g0: float
     disagreement_term: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ExpectedDisReport:
@@ -33,9 +30,6 @@ class ExpectedDisReport:
     estimate: float
     std_error: float
     sample_count: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def log_likelihood(p: Partition, features: EdgeFeatureSet, p1, p0) -> LikelihoodReport:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -30,6 +31,7 @@ from .plotting import render_svg
 _KINDS = click.Choice(SYNTHETIC_KINDS)
 _SIMILARITIES = click.Choice(["absdiff", "euclid"])
 _ALGORITHMS = click.Choice(ALGORITHMS)
+_SEED = click.IntRange(min=0)
 
 
 def _parse_pca(value):
@@ -67,7 +69,7 @@ def cli():
 @click.option("--n", type=int, required=True)
 @click.option("--k", type=int, default=None)
 @click.option("--noise", type=float, default=RunConfig.noise)
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=_SEED, required=True)
 @click.option("--out", type=click.Path(), required=True)
 def gen(kind, n, k, noise, seed, out):
     """Generate a labeled synthetic dataset as CSV."""
@@ -78,7 +80,7 @@ def gen(kind, n, k, noise, seed, out):
 @cli.command()
 @click.option("--data", type=click.Path(exists=True), required=True)
 @click.option("--pairs", "m", type=int, default=RunConfig.pairs)
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=_SEED, required=True)
 @click.option("--out", type=click.Path(), required=True)
 def pairs(data, m, seed, out):
     """Sample labeled training pairs (i,j,same) from a labeled CSV."""
@@ -122,7 +124,7 @@ def graph(data, model, sparsify, has_labels, out):
 @cli.command()
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
 @click.option("--algo", type=_ALGORITHMS, default=RunConfig.algo)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=_SEED, default=0)
 @click.option("--n", type=int, default=None, help="node count override")
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--certificate", type=click.Path(), default=None)
@@ -134,7 +136,7 @@ def cluster(graph_path, algo, seed, n, out, certificate):
     if certificate:
         if cert is None:
             cert = corrclust.certify(g, part)
-        _emit(cert.to_dict(), certificate)
+        _emit(asdict(cert), certificate)
     write_lines(out, map(str, part.labels))
 
 
@@ -143,7 +145,7 @@ def cluster(graph_path, algo, seed, n, out, certificate):
 @click.option("--method", type=click.Choice(["kmeans", "spectral"]), required=True)
 @click.option("--k", type=int, required=True)
 @click.option("--knn", type=int, default=RunConfig.knn)
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=_SEED, required=True)
 @click.option("--out", type=click.Path(), required=True)
 def baseline(data, method, k, knn, seed, out):
     """Run a baseline clustering on the node features of DATA."""
@@ -169,7 +171,7 @@ def eval_cmd(pred, truth, out):
     else:
         truth_labels = _read_labels(truth)
     report = score(predicted, validate_partition(truth_labels))
-    _emit(report.to_dict(), out)
+    _emit(asdict(report), out)
 
 
 @cli.command()
@@ -181,7 +183,7 @@ def certify(graph_path, labels, n, out):
     """LP lower bound and disagreement cost of a given labeling."""
     g = read_graph_tsv(graph_path, n=n)
     part = validate_partition(_read_labels(labels))
-    _emit(corrclust.certify(g, part).to_dict(), out)
+    _emit(asdict(corrclust.certify(g, part)), out)
 
 
 @cli.command()
@@ -205,7 +207,7 @@ def plot(data, labels, has_labels, out):
 @click.option("--data", type=click.Path(exists=True), default=None)
 @click.option("--edge-spec", type=click.Path(exists=True), default=None,
               help="JSON file with sizes, p1, p0 density descriptors")
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=_SEED, required=True)
 @click.option("--similarity", type=_SIMILARITIES, default="absdiff")
 @click.option("--sparsify", type=float, default=RunConfig.sparsify)
 @click.option("--pca", default="off")
@@ -218,8 +220,7 @@ def plot(data, labels, has_labels, out):
 @click.option("--baselines/--no-baselines", default=False)
 @click.option("--knn", type=int, default=RunConfig.knn)
 @click.option("--out", type=click.Path(), default=None)
-def pipeline(kind, data, edge_spec, seed, similarity, sparsify, pca, algo,
-             pairs, holdout, train_pool, k, noise, baselines, knn, out):
+def pipeline(kind, data, edge_spec, pca, out, **fields):
     """Run the full pipeline and emit a JSON report."""
     sources = [s for s in (kind, data, edge_spec) if s is not None]
     if len(sources) != 1:
@@ -234,11 +235,8 @@ def pipeline(kind, data, edge_spec, seed, similarity, sparsify, pca, algo,
         dataset = "edge_level"
     else:
         dataset = kind if kind is not None else data
-    cfg = RunConfig(dataset=dataset, seed=seed, similarity=similarity,
-                    sparsify=sparsify, pca=_parse_pca(pca), algo=algo,
-                    pairs=pairs, holdout=holdout, train_pool=train_pool,
-                    k=k, noise=noise, baselines=baselines, knn=knn,
-                    edge_spec=edge_spec_dict)
+    cfg = RunConfig(dataset=dataset, pca=_parse_pca(pca),
+                    edge_spec=edge_spec_dict, **fields)
     _emit(run_pipeline(cfg).to_dict(), out)
 
 

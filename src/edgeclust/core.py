@@ -8,7 +8,7 @@ immutable after construction and all operations are pure functions.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -85,9 +85,7 @@ class SampleSet:
             labels = np.asarray(self.labels, dtype=int)
             if labels.shape != (feats.shape[0],):
                 raise DataError("labels length must match the number of rows")
-            k = int(labels.max(initial=0))
-            if labels.min(initial=1) < 1 or len(np.unique(labels)) != k:
-                raise DataError("labels must cover 1..k with every value used")
+            Partition(labels=labels, k=int(labels.max()))
             object.__setattr__(self, "labels", labels)
 
     @property
@@ -129,9 +127,6 @@ class ScoreReport:
     pairwise_f1: float
     k_predicted: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def validate_partition(labels) -> Partition:
     """Canonicalize arbitrary integer labels to the dense range 1..k, ordered
@@ -139,11 +134,10 @@ def validate_partition(labels) -> Partition:
     labels = np.asarray(labels, dtype=int)
     if labels.ndim != 1 or labels.size == 0:
         raise DataError("partition labels must be a nonempty vector")
-    _, first = np.unique(labels, return_index=True)
-    order = labels[np.sort(first)]
-    remap = {int(lab): pos + 1 for pos, lab in enumerate(order)}
-    dense = np.array([remap[int(lab)] for lab in labels], dtype=int)
-    return Partition(labels=dense, k=len(order))
+    _, first, inverse = np.unique(labels, return_index=True,
+                                  return_inverse=True)
+    rank = np.argsort(np.argsort(first)) + 1
+    return Partition(labels=rank[inverse], k=len(first))
 
 
 def check_pairs(pairs, n: int) -> np.ndarray:

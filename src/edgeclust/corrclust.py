@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
@@ -80,9 +80,6 @@ class SolveCertificate:
     c1: float
     bound_rhs: float
     n: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _disagreements(positive: np.ndarray, costs: np.ndarray,
@@ -194,7 +191,9 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     for _ in range(MAX_ROUNDS):
         xm = np.where(var >= 0, x[var], 0.0)
         flat = _violated_triangles(xm, TRIANGLE_TOL)
-        flat = flat[~np.isin(flat, added)]
+        # HiGHS meets its rows to 1e-7, so only a faulty optimum gets here
+        if np.isin(flat, added).any():
+            raise SolverError("the LP optimum violates one of its triangle rows")
         if not flat.size:
             metric[np.ix_(nodes, nodes)] = xm
             # cost times x's distance from the value the edge's sign wants:

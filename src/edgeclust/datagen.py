@@ -3,7 +3,9 @@ edge-level planted-partition sampler) plus CSV ingestion for real data."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -42,12 +44,11 @@ class EdgeLevelSpec:
     p0: object
 
     def __post_init__(self):
-        try:
-            sizes = tuple(int(s) for s in self.sizes)
-        except (TypeError, ValueError):
-            raise ConfigError("cluster sizes must be a list of integers") from None
-        if not sizes or any(s < 1 for s in sizes):
-            raise ConfigError("cluster sizes must be positive")
+        sizes = tuple(self.sizes) if isinstance(self.sizes, Iterable) else ()
+        if not sizes or not all(isinstance(s, Integral) and s >= 1
+                                and not isinstance(s, bool) for s in sizes):
+            raise ConfigError("need a nonempty list of positive integer sizes")
+        sizes = tuple(map(int, sizes))
         if self.p1.d != self.p0.d:
             raise ConfigError("P1 and P0 must share a dimension")
         object.__setattr__(self, "sizes", sizes)
@@ -55,10 +56,6 @@ class EdgeLevelSpec:
     @property
     def n(self) -> int:
         return sum(self.sizes)
-
-    @property
-    def k(self) -> int:
-        return len(self.sizes)
 
 
 def _balanced_counts(n: int, k: int) -> np.ndarray:

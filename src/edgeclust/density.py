@@ -140,10 +140,6 @@ class SignedWeightedGraph:
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "dropped", dropped)
 
-    @property
-    def edge_count(self) -> int:
-        return self.pairs.shape[0]
-
 
 def log_density(p, features: EdgeFeatureSet) -> np.ndarray:
     """log p at each vector of ``features``: a density (anything with

@@ -48,10 +48,6 @@ class EdgeFeatureSet:
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "vectors", vectors)
 
-    @property
-    def d(self) -> int:
-        return self.vectors.shape[1]
-
     def __len__(self) -> int:
         return self.pairs.shape[0]
 

@@ -51,6 +51,8 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "similarity", canonical_kind(self.similarity))
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}")
         if not self.sparsify >= 0:
@@ -240,13 +242,12 @@ def _edge_level_pairs(features: EdgeFeatureSet, truth, m: int,
 
 def _scores(cfg: RunConfig, partition, truth, holdout_set,
             rng: np.random.Generator) -> dict:
-    scores = {"structured": score(partition, truth).to_dict()}
+    scores = {"structured": asdict(score(partition, truth))}
     if cfg.baselines and holdout_set is not None:
         k = cfg.k if cfg.k is not None else truth.k
-        scores["kmeans"] = score(kmeans(holdout_set, k, rng), truth).to_dict()
-        scores["spectral"] = score(
-            spectral(holdout_set, SpectralConfig(k=k, knn=cfg.knn), rng),
-            truth).to_dict()
+        scores["kmeans"] = asdict(score(kmeans(holdout_set, k, rng), truth))
+        scores["spectral"] = asdict(score(spectral(
+            holdout_set, SpectralConfig(k=k, knn=cfg.knn), rng), truth))
     return scores
 
 
@@ -291,14 +292,14 @@ def run_pipeline(cfg: RunConfig) -> ResultsReport:
                     lambda: _scores(cfg, partition, truth, holdout_set, rng))
     likelihood = _stage(
         "likelihood", timing,
-        lambda: log_likelihood(partition, features, *logs).to_dict())
+        lambda: asdict(log_likelihood(partition, features, *logs)))
 
     report = ResultsReport(
         config=asdict(cfg),
         labels=[int(v) for v in partition.labels],
         k_predicted=partition.k,
         scores=scores,
-        certificate=certificate.to_dict() if certificate is not None else None,
+        certificate=asdict(certificate) if certificate is not None else None,
         likelihood=likelihood,
         timing={k: float(v) for k, v in timing.items()},
     )

@@ -1,5 +1,6 @@
 """Likelihood identities and the expected-disagreement estimator."""
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ class TestExpectedDis:
     def test_report_serialization(self, rng):
         p = GaussianDensity(mean=[0.0], sigma=[1.0])
         rep = expected_dis(p, p, n1=2, n0=2, samples=1000, rng=rng)
-        d = rep.to_dict()
+        d = asdict(rep)
         assert set(d) == {"n0", "n1", "estimate", "std_error", "sample_count"}
         assert d["sample_count"] >= 1000
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeclust.core import (Partition, co_membership, has_duplicate_pairs, nmi,
-                            parse_lines, read_lines, score, validate_partition,
-                            write_lines)
+from edgeclust.core import (Partition, SampleSet, co_membership,
+                            has_duplicate_pairs, nmi, parse_lines, read_lines,
+                            score, validate_partition, write_lines)
 from edgeclust.errors import DataError
 
 labels_arrays = st.lists(st.integers(min_value=-5, max_value=5),
@@ -62,6 +62,17 @@ class TestTextFiles:
             read_lines(path, "\t")
 
 
+class TestSampleSetLabels:
+    @pytest.mark.parametrize("labels", [[0, 1], [-1, 1], [1, 3], [2, 2]])
+    def test_labels_must_cover_1_to_k(self, labels):
+        with pytest.raises(DataError):
+            SampleSet(features=np.zeros((2, 1)), labels=labels)
+
+    def test_labels_kept_in_any_order(self):
+        s = SampleSet(features=np.zeros((3, 1)), labels=[2, 1, 2])
+        assert s.labels.tolist() == [2, 1, 2]
+
+
 class TestValidatePartition:
     def test_relabels_by_first_appearance(self):
         p = validate_partition([5, 5, 9, 5])
@@ -81,6 +92,13 @@ class TestValidatePartition:
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
             validate_partition([])
+
+    @given(labels_arrays)
+    def test_ranks_labels_by_first_appearance(self, labels):
+        order = list(dict.fromkeys(labels.tolist()))
+        p = validate_partition(labels)
+        assert p.labels.tolist() == [order.index(v) + 1 for v in labels.tolist()]
+        assert p.k == len(order)
 
     @given(labels_arrays)
     def test_idempotent(self, labels):

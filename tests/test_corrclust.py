@@ -2,6 +2,7 @@
 oracle for weighted MinimizeDisagreements."""
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -317,6 +318,18 @@ class TestLpRelax:
         with pytest.raises(SolverError, match="LP solve failed: Infeasible"):
             lp_relax(unit_triangle())
 
+    def test_optimum_violating_its_own_row_raises(self, monkeypatch):
+        # a faulty solver that hands back the rowless start as optimal: its
+        # violated triangle is already a row, so the round must not pass it
+        def stuck_linprog(c, A_ub, b_ub):
+            x = (c < 0).astype(float)
+            return LPResult(success=True, message="Optimal", x=x,
+                            slack=np.zeros(len(b_ub)), nit=0)
+
+        monkeypatch.setattr(corrclust, "linprog", stuck_linprog)
+        with pytest.raises(SolverError, match="violates one of its triangle"):
+            lp_relax(unit_triangle())
+
     def test_every_violated_triangle_added_each_round(self, monkeypatch):
         # each round adds every violated row, so this instance is feasible
         # after its second solve
@@ -603,7 +616,7 @@ class TestSolve:
 
     def test_certificate_serialization(self):
         _, cert = solve(unit_triangle())
-        d = cert.to_dict()
+        d = asdict(cert)
         assert set(d) == {"lp_lower_bound", "rounded_cost", "c1",
                           "bound_rhs", "n"}
         assert d["n"] == 3

@@ -86,6 +86,19 @@ class TestGenEdgeLevel:
         n = 12
         assert len(feats) == n * (n - 1) // 2
 
+    @pytest.mark.parametrize("sizes", [[2.7, 3], [True, 3], ["4", 3], [],
+                                       [0, 3], 5])
+    def test_sizes_must_be_positive_integers(self, sizes):
+        p = UniformBoxDensity(low=[0.0], high=[1.0])
+        with pytest.raises(ConfigError, match="positive integer sizes"):
+            EdgeLevelSpec(sizes=sizes, p1=p, p0=p)
+
+    def test_numpy_integer_sizes_accepted(self):
+        p = UniformBoxDensity(low=[0.0], high=[1.0])
+        spec = EdgeLevelSpec(sizes=np.array([2, 3]), p1=p, p0=p)
+        assert spec.sizes == (2, 3)
+        assert all(type(s) is int for s in spec.sizes)
+
     def test_dimension_mismatch_rejected(self):
         p1 = UniformBoxDensity(low=[0.0], high=[1.0])
         p0 = UniformBoxDensity(low=[0.0, 0.0], high=[1.0, 1.0])

@@ -347,7 +347,7 @@ class TestBuildSignedGraph:
         p1 = StepDensity([0, 1, 2], [-1.0, -1.0])
         p0 = StepDensity([0, 1, 2], [-1.0, -3.3])
         g = build_signed_graph(self._features([0.5, 1.5]), p1, p0)
-        assert g.edge_count == 1
+        assert len(g.pairs) == 1
         assert len(g.dropped) == 1
         assert g.costs[0] == pytest.approx(2.3)
 
@@ -356,7 +356,7 @@ class TestBuildSignedGraph:
         p0 = StepDensity([0, 2], [-2.0])
         g = build_signed_graph(self._features([0.5, 1.5]), p1, p0,
                                sparsify_below=math.inf)
-        assert g.edge_count == 0
+        assert len(g.pairs) == 0
         assert len(g.dropped) == 2
 
     def test_partitions_the_pair_set(self, rng):
@@ -364,7 +364,7 @@ class TestBuildSignedGraph:
         p0 = StepDensity([-10, 0, 10], [-2.0, -1.0])
         feats = self._features(rng.normal(size=12))
         g = build_signed_graph(feats, p1, p0, sparsify_below=0.5)
-        assert g.edge_count + len(g.dropped) == len(feats)
+        assert len(g.pairs) + len(g.dropped) == len(feats)
 
     def test_disjoint_supports_give_clique_union(self, rng):
         # perfectly separated densities: kept positive edges connect exactly

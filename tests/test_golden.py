@@ -179,6 +179,27 @@ def test_stage_chain_matches_golden(tmp_path):
         _assert_file_close(tmp_path / name, GOLDEN / "chain" / name)
 
 
+def test_stage_chain_is_byte_deterministic(tmp_path):
+    """Two runs of the chain in fresh directories write the same bytes, but
+    for model.npz, whose zip entries carry a timestamp: it must hold the same
+    keys in the same order and bit-equal arrays."""
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for workdir in runs:
+        workdir.mkdir()
+        _run_chain(workdir)
+    for name in CHAIN_FILES:
+        first, second = (workdir / name for workdir in runs)
+        if first.suffix != ".npz":
+            assert first.read_bytes() == second.read_bytes(), name
+            continue
+        with np.load(first) as a, np.load(second) as b:
+            assert list(a.keys()) == list(b.keys())
+            for key in a.keys():
+                assert a[key].dtype == b[key].dtype, key
+                assert a[key].shape == b[key].shape, key
+                assert a[key].tobytes() == b[key].tobytes(), key
+
+
 def _write_golden():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

@@ -59,6 +59,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             small_cfg(similarity="cosine")
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            small_cfg(seed=-1)
+
     def test_alias_canonicalized(self):
         assert small_cfg(similarity="euclid").similarity == "euclidean"
 
@@ -496,7 +500,10 @@ class TestCli:
                      json.dumps({"sizes": [4, 4], "p0": DISJOINT_SPEC["p0"]}),
                      json.dumps(dict(DISJOINT_SPEC, p1=gauss_no_sigma)),
                      json.dumps(dict(DISJOINT_SPEC, sizes="ab")), "null", "{}",
-                     json.dumps(nan_sigma)):
+                     json.dumps(nan_sigma),
+                     # sizes int() would coerce to 2, 1 and 4
+                     *(json.dumps(dict(DISJOINT_SPEC, sizes=[bad, 3]))
+                       for bad in (2.7, True, "4"))):
             spec.write_text(text)
             assert exit_code(monkeypatch, [
                 "pipeline", "--edge-spec", str(spec), "--seed", "1"]) == 2, text
@@ -528,6 +535,28 @@ class TestCli:
         assert exit_code(monkeypatch, [
             "cluster", "--graph", str(graph),
             "--out", str(tmp_path / "labels.txt")]) == 4
+
+    def test_negative_seed_is_config_error(self, tmp_path, monkeypatch,
+                                           capsys):
+        # every other argument is valid, so --seed alone is rejected
+        runner = CliRunner()
+        data = self._gen(runner, tmp_path)
+        graph = tmp_path / "triangle.tsv"
+        graph.write_text("0\t1\t+1\t1\n0\t2\t+1\t1\n1\t2\t-1\t1\n")
+        out = tmp_path / "out"
+        for args in (["gen", "--kind", "blobs", "--n", "10"],
+                     ["pairs", "--data", str(data), "--pairs", "10"],
+                     ["cluster", "--graph", str(graph)],
+                     ["baseline", "--data", str(data), "--method", "kmeans",
+                      "--k", "2"],
+                     ["pipeline", "--kind", "blobs", "--holdout", "10",
+                      "--train-pool", "20", "--pairs", "100"]):
+            capsys.readouterr()
+            assert exit_code(monkeypatch, [
+                *args, "--seed", "-1", "--out", str(out)]) == 2, args[0]
+            err = capsys.readouterr().err
+            assert "--seed" in err and "Traceback" not in err, args[0]
+            assert not out.exists(), args[0]
 
 
 class TestRoundTrips:
