@@ -18,18 +18,18 @@ from . import corrclust
 from .baselines import SpectralConfig, kmeans, spectral
 from .core import (SampleSet, parse_lines, read_lines, report_json, score,
                    validate_partition, write_lines)
-from .datagen import (SYNTHETIC_KINDS, load_csv, load_labeled_pairs, save_csv,
-                      save_labeled_pairs)
+from .datagen import (SYNTHETIC_KINDS, SyntheticSpec, gen_synthetic, load_csv,
+                      load_labeled_pairs, save_csv, save_labeled_pairs)
 from .density import build_signed_graph, read_graph_tsv, write_graph_tsv
-from .edge_features import (all_pairs, build_edge_features, edge_vectors,
-                            sample_pairs)
+from .edge_features import (SIMILARITY_ALIASES, all_pairs, build_edge_features,
+                            edge_vectors, sample_pairs)
 from .errors import ConfigError, DataError, EdgeclustError, SolverError
 from .pipeline import (ALGORITHMS, RunConfig, cluster_graph, fit_model,
-                       load_model, run_pipeline, save_model, synthetic_data)
+                       load_model, run_pipeline, save_model)
 from .plotting import render_svg
 
 _KINDS = click.Choice(SYNTHETIC_KINDS)
-_SIMILARITIES = click.Choice(["absdiff", "euclid"])
+_SIMILARITIES = click.Choice(list(SIMILARITY_ALIASES))
 _ALGORITHMS = click.Choice(ALGORITHMS)
 _SEED = click.IntRange(min=0)
 
@@ -55,8 +55,7 @@ def _emit(report: dict, out):
 
 
 def _read_labels(path):
-    (labels,) = parse_lines(path, read_lines(path, ","), (int,))
-    return np.array(labels, dtype=int)
+    return parse_lines(path, read_lines(path, ","), (np.int64,))[0]
 
 
 @click.group(context_settings={"show_default": True})
@@ -73,20 +72,18 @@ def cli():
 @click.option("--out", type=click.Path(), required=True)
 def gen(kind, n, k, noise, seed, out):
     """Generate a labeled synthetic dataset as CSV."""
-    save_csv(synthetic_data(kind, n, k, noise, np.random.default_rng(seed)),
-             out)
+    spec = SyntheticSpec(kind=kind, n=n, k=k, noise=noise)
+    save_csv(gen_synthetic(spec, np.random.default_rng(seed)), out)
 
 
 @cli.command()
 @click.option("--data", type=click.Path(exists=True), required=True)
-@click.option("--pairs", "m", type=int, default=RunConfig.pairs)
+@click.option("--pairs", "m", type=click.IntRange(min=1), default=RunConfig.pairs)
 @click.option("--seed", type=_SEED, required=True)
 @click.option("--out", type=click.Path(), required=True)
 def pairs(data, m, seed, out):
     """Sample labeled training pairs (i,j,same) from a labeled CSV."""
     s = load_csv(data, has_labels=True)
-    if m < 1:
-        raise ConfigError("--pairs must be >= 1")
     idx, same = sample_pairs(s, m, np.random.default_rng(seed))
     save_labeled_pairs(idx, same, out)
 

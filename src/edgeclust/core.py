@@ -29,9 +29,10 @@ def read_lines(path, sep: str) -> list:
 
 
 def parse_lines(path, lines, casts) -> list:
-    """Columns of the rows ``lines`` (as read_lines gives them), field c of
-    every row cast with ``casts[c]``. A row of another width, or a cell its
-    cast rejects with ValueError, raises DataError naming ``path:line`` and
+    """Columns of the rows ``lines`` (as read_lines gives them) as numpy
+    arrays, field c of every row cast with ``casts[c]``; integer columns take
+    np.int64. A row of another width, or a cell its cast rejects with
+    ValueError or OverflowError, raises DataError naming ``path:line`` and
     the 1-based column."""
     columns = [[] for _ in casts]
     for lineno, fields in lines:
@@ -42,10 +43,10 @@ def parse_lines(path, lines, casts) -> list:
                                                    start=1):
             try:
                 column.append(cast(cell))
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise DataError(f"{path}:{lineno}: column {col}: cannot read "
                                 f"{cell.strip()!r}") from None
-    return columns
+    return [np.asarray(column) for column in columns]
 
 
 def report_json(report: dict) -> str:

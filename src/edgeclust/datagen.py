@@ -6,7 +6,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,12 +25,14 @@ GRID_SPACING = 0.5      # lattice step of the grid segment centers
 class SyntheticSpec:
     kind: str
     n: int
-    k: int = 2
+    k: Optional[int] = None  # 6 on grid, 2 on every other kind
     noise: float = 0.03
 
     def __post_init__(self):
         if self.kind not in SYNTHETIC_KINDS:
             raise ConfigError(f"unknown synthetic kind {self.kind!r}")
+        if self.k is None:
+            object.__setattr__(self, "k", 6 if self.kind == "grid" else 2)
         if self.n < self.k or self.k < 1:
             raise ConfigError("need n >= k >= 1")
         if not 0 <= self.noise < math.inf:
@@ -65,11 +67,11 @@ def _balanced_counts(n: int, k: int) -> np.ndarray:
 
 
 def _segment_points(count: int, center: np.ndarray, direction: np.ndarray,
-                    length: float, noise: float, rng: np.random.Generator):
-    t = rng.uniform(-0.5, 0.5, size=count) * length
+                    noise: float, rng: np.random.Generator):
+    t = rng.uniform(-0.5, 0.5, size=count) * SEGMENT_LENGTH
     pts = center + t[:, None] * direction
     if noise > 0:
-        pts = pts + rng.normal(0.0, noise * length, size=pts.shape)
+        pts = pts + rng.normal(0.0, noise * SEGMENT_LENGTH, size=pts.shape)
     return pts
 
 
@@ -77,29 +79,7 @@ def gen_synthetic(spec: SyntheticSpec, rng: np.random.Generator) -> SampleSet:
     """2-D labeled sample sets; crossbones and grid are the crossing-segment
     regimes where scalar similarity functions fail."""
     counts = _balanced_counts(spec.n, spec.k)
-    if spec.kind == "crossbones":
-        if spec.k != 2:
-            raise ConfigError("crossbones has exactly 2 clusters")
-        half = math.radians(CROSS_ANGLE_DEG) / 2.0
-        dirs = [np.array([math.cos(half), math.sin(half)]),
-                np.array([math.cos(half), -math.sin(half)])]
-        chunks = [
-            _segment_points(counts[c], np.zeros(2), dirs[c],
-                            SEGMENT_LENGTH, spec.noise, rng)
-            for c in range(2)
-        ]
-    elif spec.kind == "grid":
-        # alternating horizontal/vertical segments on a lattice; with a
-        # lattice step below the segment length, neighbors cross each other
-        cols = int(math.ceil(math.sqrt(spec.k)))
-        chunks = []
-        for c in range(spec.k):
-            row, col = divmod(c, cols)
-            center = np.array([col * GRID_SPACING, row * GRID_SPACING])
-            direction = np.array([1.0, 0.0]) if c % 2 == 0 else np.array([0.0, 1.0])
-            chunks.append(_segment_points(counts[c], center, direction,
-                                          SEGMENT_LENGTH, spec.noise, rng))
-    elif spec.kind == "blobs":
+    if spec.kind == "blobs":
         centers = np.stack([
             [math.cos(2 * math.pi * c / spec.k) * 4.0,
              math.sin(2 * math.pi * c / spec.k) * 4.0]
@@ -107,7 +87,7 @@ def gen_synthetic(spec: SyntheticSpec, rng: np.random.Generator) -> SampleSet:
         ])
         chunks = [centers[c] + rng.normal(0.0, max(spec.noise, 1e-12), size=(counts[c], 2))
                   for c in range(spec.k)]
-    else:  # circles
+    elif spec.kind == "circles":
         chunks = []
         for c in range(spec.k):
             radius = 1.0 + 2.0 * c
@@ -116,6 +96,23 @@ def gen_synthetic(spec: SyntheticSpec, rng: np.random.Generator) -> SampleSet:
             if spec.noise > 0:
                 pts = pts + rng.normal(0.0, spec.noise, size=pts.shape)
             chunks.append(pts)
+    else:
+        if spec.kind == "crossbones":
+            if spec.k != 2:
+                raise ConfigError("crossbones has exactly 2 clusters")
+            half = math.radians(CROSS_ANGLE_DEG) / 2.0
+            centers = np.zeros((2, 2))
+            dirs = np.array([[math.cos(half), math.sin(half)],
+                             [math.cos(half), -math.sin(half)]])
+        else:
+            # alternating horizontal/vertical segments on a lattice; with a
+            # lattice step below the segment length, neighbors cross each other
+            cols = int(math.ceil(math.sqrt(spec.k)))
+            row, col = np.divmod(np.arange(spec.k), cols)
+            centers = GRID_SPACING * np.column_stack([col, row])
+            dirs = np.array([[1.0, 0.0], [0.0, 1.0]])[np.arange(spec.k) % 2]
+        chunks = [_segment_points(counts[c], centers[c], dirs[c], spec.noise, rng)
+                  for c in range(spec.k)]
     features = np.concatenate(chunks, axis=0)
     if not np.isfinite(features).all():
         raise ConfigError(f"noise {spec.noise:g} overflows the generated points")
@@ -162,9 +159,10 @@ def load_csv(path, has_labels: bool = False) -> SampleSet:
             raise DataError(f"{path}: need at least one feature column "
                             "besides the label")
         raw_labels = data[:, -1]
-        if not np.all(np.isfinite(raw_labels)
+        if not np.all((np.abs(raw_labels) < 2**63)
                       & (raw_labels == np.round(raw_labels))):
-            raise DataError(f"{path}: label column must hold finite integers")
+            raise DataError(f"{path}: label column must hold integers of "
+                            "magnitude below 2**63")
         dense = validate_partition(raw_labels.astype(int)).labels
         return SampleSet(features=data[:, :-1], labels=dense)
     return SampleSet(features=data)
@@ -190,7 +188,8 @@ def _flag(cell: str) -> bool:
 
 
 def load_labeled_pairs(path):
-    i, j, same = parse_lines(path, read_lines(path, ","), (int, int, _flag))
-    if not same:
+    i, j, same = parse_lines(path, read_lines(path, ","),
+                             (np.int64, np.int64, _flag))
+    if not len(same):
         raise DataError(f"{path}: no pairs")
-    return np.column_stack([i, j]), np.array(same, dtype=bool)
+    return np.column_stack([i, j]), same

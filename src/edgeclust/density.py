@@ -191,7 +191,7 @@ def read_graph_tsv(path, n: int = None) -> SignedWeightedGraph:
     """Read write_graph_tsv's lines; a sign-0 row is a dropped pair and must
     have cost 0."""
     lines = read_lines(path, "\t")
-    i, j, signs, costs = map(np.asarray, parse_lines(path, lines, (int, int, int, float)))
+    i, j, signs, costs = parse_lines(path, lines, (np.int64, np.int64, np.int64, float))
     dropped = signs == 0
     bad = np.flatnonzero(dropped & (costs != 0))
     if len(bad):

@@ -12,12 +12,12 @@ from .errors import ConfigError, DataError
 
 SIMILARITY_KINDS = ("abs_diff", "euclidean")
 
-# aliases accepted on the CLI
-_KIND_ALIASES = {"absdiff": "abs_diff", "euclid": "euclidean"}
+# the names the CLI accepts
+SIMILARITY_ALIASES = {"absdiff": "abs_diff", "euclid": "euclidean"}
 
 
 def canonical_kind(kind: str) -> str:
-    kind = _KIND_ALIASES.get(kind, kind)
+    kind = SIMILARITY_ALIASES.get(kind, kind)
     if kind not in SIMILARITY_KINDS:
         raise ConfigError(f"unknown similarity kind {kind!r}")
     return kind

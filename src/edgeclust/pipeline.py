@@ -1,8 +1,8 @@
 """End-to-end pipeline: sample training pairs, fit edge densities, build the
 signed log-odds graph over hold-out samples, cluster, and score.
 
-The stage functions here (synthetic data, model fit, save/load and
-projection, clustering) are also what the CLI subcommands run."""
+The stage functions here (model fit, save/load and projection, clustering)
+are also what the CLI subcommands run."""
 from __future__ import annotations
 
 import time
@@ -110,14 +110,6 @@ def _stage(name, timing, fn):
     return result
 
 
-def synthetic_data(kind: str, n: int, k: Optional[int], noise: float,
-                   rng: np.random.Generator) -> SampleSet:
-    """Labeled synthetic samples; k defaults to 6 on grid and 2 elsewhere."""
-    if k is None:
-        k = 6 if kind == "grid" else 2
-    return gen_synthetic(SyntheticSpec(kind=kind, n=n, k=k, noise=noise), rng)
-
-
 @dataclass(frozen=True)
 class EdgeModel:
     """Fitted P1 (same-cluster) and P0 (cross-cluster) edge densities, the
@@ -214,8 +206,9 @@ def cluster_graph(graph, algo: str, rng: np.random.Generator):
 def _prepare_node_level(cfg: RunConfig, rng: np.random.Generator):
     synthetic = cfg.dataset in SYNTHETIC_KINDS
     if synthetic:
-        full = synthetic_data(cfg.dataset, cfg.train_pool + cfg.holdout,
-                              cfg.k, cfg.noise, rng)
+        full = gen_synthetic(SyntheticSpec(
+            kind=cfg.dataset, n=cfg.train_pool + cfg.holdout, k=cfg.k,
+            noise=cfg.noise), rng)
     else:
         full = load_csv(cfg.dataset, has_labels=True)
         if full.n < cfg.holdout + 2:

@@ -21,8 +21,6 @@ def render_svg(s: SampleSet, p: Partition, path) -> None:
     """Scatter plot with one palette color per cluster; data with more than
     two feature dimensions is projected onto its first two principal
     components."""
-    if s.n == 0:
-        raise DataError("nothing to plot")
     if p.n != s.n:
         raise DataError("partition must cover the sample set")
     if s.d < 2:

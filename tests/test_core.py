@@ -42,8 +42,8 @@ class TestTextFiles:
         write_lines(path, ["1\t2.5", "", " 3\t-4 "])
         assert path.read_bytes() == b"1\t2.5\n\n 3\t-4 \n"
         assert read_lines(path, "\t") == [(1, ["1", "2.5"]), (3, ["3", "-4"])]
-        assert parse_lines(path, read_lines(path, "\t"), (int, float)) == \
-            [[1, 3], [2.5, -4.0]]
+        columns = parse_lines(path, read_lines(path, "\t"), (int, float))
+        assert [column.tolist() for column in columns] == [[1, 3], [2.5, -4.0]]
 
     @pytest.mark.parametrize("text, where", [
         ("1\t2\n3\n", ":2: expected 2 fields, found 1"),

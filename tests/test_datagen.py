@@ -1,4 +1,6 @@
 """Synthetic generators and file ingestion."""
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,12 @@ class TestGenSynthetic:
         s = gen_synthetic(SyntheticSpec(kind="grid", n=120, k=6), rng)
         counts = np.bincount(s.labels)[1:]
         assert counts.tolist() == [20] * 6
+
+    def test_default_k(self, rng):
+        assert SyntheticSpec(kind="grid", n=60).k == 6
+        assert SyntheticSpec(kind="crossbones", n=60).k == 2
+        s = gen_synthetic(SyntheticSpec(kind="grid", n=60), rng)
+        assert sorted(set(s.labels.tolist())) == [1, 2, 3, 4, 5, 6]
 
     def test_zero_noise_collinear(self, rng):
         s = gen_synthetic(SyntheticSpec(kind="crossbones", n=40, noise=0.0),
@@ -143,6 +151,13 @@ class TestCsv:
         path = tmp_path / "d.csv"
         path.write_text(f"1.0,2.0,1\n1.0,1.0,{label}\n")
         with pytest.raises(DataError, match="label"):
+            load_csv(path, has_labels=True)
+
+    def test_label_beyond_int64_rejected(self, tmp_path):
+        # cast to int64 these would wrap onto one label
+        path = tmp_path / "d.csv"
+        path.write_text("1.0,2.0,1\n1.0,1.0,1e20\n3.0,1.0,2e20\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: label"):
             load_csv(path, has_labels=True)
 
     def test_empty_rejected(self, tmp_path):

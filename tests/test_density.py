@@ -53,6 +53,19 @@ def test_parse_density_rejects_bad_parameters(spec):
         parse_density(spec)
 
 
+def test_mixture_sample_draws_multinomial_counts_per_component():
+    boxes = (UniformBoxDensity(low=[0.0, 0.0], high=[1.0, 1.0]),
+             UniformBoxDensity(low=[2.0, 2.0], high=[3.0, 3.0]))
+    mix = MixtureDensity(components=boxes, weights=[1.0, 3.0])
+    x = mix.sample(np.random.default_rng(8), 500)
+    assert x.shape == (500, 2)
+    inside = np.stack([np.all((x >= b.low) & (x <= b.high), axis=1)
+                       for b in boxes], axis=1)
+    assert np.all(inside.sum(axis=1) == 1)
+    want = np.random.default_rng(8).multinomial(500, mix.weights)
+    assert inside.sum(axis=0).tolist() == want.tolist()
+
+
 def test_mixture_weights_near_the_float_limit_normalize():
     mix = MixtureDensity((GaussianDensity([0.0], [1.0]),) * 2, [1e308, 1e308])
     assert mix.weights.tolist() == [0.5, 0.5]

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from edgeclust.core import SampleSet
-from edgeclust.edge_features import (all_pairs, build_edge_features,
-                                     canonical_kind, pca_fit, pca_transform,
+from edgeclust.edge_features import (EdgeFeatureSet, all_pairs,
+                                     build_edge_features, canonical_kind,
+                                     pca_fit, pca_transform,
                                      sample_labeled_pairs, sample_ranks,
                                      unrank_pairs)
 from edgeclust.errors import ConfigError, DataError
@@ -68,6 +69,18 @@ class TestSimilarity:
     @given(arrays(float, 3, elements=finite))
     def test_euclidean_zero_iff_equal(self, u):
         assert similarity(u, u, "euclidean")[0] == 0.0
+
+
+@pytest.mark.parametrize("pairs, vectors, match", [
+    (np.zeros((2, 3)), np.zeros((2, 1)), "pairs must be an"),
+    ([[0, 1], [0, 2]], np.zeros((3, 1)), "align with pairs"),
+    ([[0, 1], [0, 2]], np.zeros((2, 0)), "dimension must be >= 1"),
+    ([[0, 1], [2, 2]], np.zeros((2, 1)), "i < j"),
+    ([[0, 1], [0, 2]], [[0.0], [np.inf]], "must be finite"),
+])
+def test_edge_feature_set_rejections(pairs, vectors, match):
+    with pytest.raises(DataError, match=match):
+        EdgeFeatureSet(pairs=pairs, vectors=vectors)
 
 
 class TestSampleLabeledPairs:

@@ -114,6 +114,16 @@ class TestRunPipeline:
         assert rep.scores["structured"]["nmi"] == 1.0
         assert rep.k_predicted == 2
 
+    def test_edge_level_mixture_p1(self):
+        p1 = {"kind": "mixture", "weights": [1.0, 3.0],
+              "components": [{"kind": "uniform", "low": [0.0], "high": [0.5]},
+                             {"kind": "uniform", "low": [0.5], "high": [1.0]}]}
+        cfg = RunConfig(dataset="edge_level", seed=3,
+                        edge_spec=dict(DISJOINT_SPEC, p1=p1))
+        rep = run_pipeline(cfg)
+        assert rep.scores["structured"]["nmi"] == 1.0
+        assert rep.k_predicted == 2
+
     def test_oracle_size_cap(self):
         cfg = small_cfg(algo="oracle")  # 24 hold-out nodes > 12
         with pytest.raises(ConfigError):
@@ -535,6 +545,60 @@ class TestCli:
         assert exit_code(monkeypatch, [
             "cluster", "--graph", str(graph),
             "--out", str(tmp_path / "labels.txt")]) == 4
+
+    @pytest.mark.parametrize("command, bad", [
+        ("eval", "labels"), ("certify", "labels"), ("fit", "pairs"),
+        ("cluster", "graph"), ("certify", "graph"),
+    ])
+    def test_integer_beyond_64_bits_is_data_error(self, tmp_path, monkeypatch,
+                                                 capsys, command, bad):
+        huge = "100000000000000000000"
+        files = {"labels": "1\n1\n1\n",
+                 "pairs": "0,1,1\n2,3,0\n",
+                 "graph": "0\t1\t+1\t1\n0\t2\t+1\t1\n1\t2\t-1\t1\n"}
+        files[bad] = {"labels": f"1\n{huge}\n1\n",
+                      "pairs": f"0,1,1\n2,{huge},0\n",
+                      "graph": f"0\t1\t+1\t1\n0\t{huge}\t+1\t1\n"}[bad]
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text)
+        out = tmp_path / "out"
+        args = {
+            "eval": ["--pred", paths["labels"], "--truth", paths["labels"]],
+            "certify": ["--graph", paths["graph"], "--labels", paths["labels"]],
+            "fit": ["--data", self._gen(CliRunner(), tmp_path),
+                    "--pairs-file", paths["pairs"]],
+            "cluster": ["--graph", paths["graph"]],
+        }[command]
+        capsys.readouterr()
+        assert exit_code(monkeypatch, [command, *map(str, args),
+                                       "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"cannot read '{huge}'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_largest_int64_label_reads(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("1\n9223372036854775807\n")
+        assert _read_labels(path).tolist() == [1, 9223372036854775807]
+
+    def test_pairs_below_one_is_config_error(self, tmp_path, monkeypatch):
+        data = self._gen(CliRunner(), tmp_path)
+        out = tmp_path / "pairs.csv"
+        assert exit_code(monkeypatch, [
+            "pairs", "--data", str(data), "--pairs", "0", "--seed", "1",
+            "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_truth_label_beyond_int64_is_data_error(self, tmp_path,
+                                                    monkeypatch):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("1.0,2.0,1\n1.0,1.0,1e20\n3.0,1.0,2e20\n")
+        pred = tmp_path / "pred.txt"
+        pred.write_text("1\n2\n3\n")
+        assert exit_code(monkeypatch, ["eval", "--pred", str(pred),
+                                       "--truth", str(truth)]) == 3
 
     def test_negative_seed_is_config_error(self, tmp_path, monkeypatch,
                                            capsys):
