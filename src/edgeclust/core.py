@@ -33,7 +33,17 @@ def parse_lines(path, lines, casts) -> list:
     arrays, field c of every row cast with ``casts[c]``; integer columns take
     np.int64. A row of another width, or a cell its cast rejects with
     ValueError or OverflowError, raises DataError naming ``path:line`` and
-    the 1-based column."""
+    the 1-based column. A cast that is a type reads its whole column in one
+    numpy call; cells are cast one by one only to find the first bad one."""
+    rows = [fields for _, fields in lines]
+    try:
+        if set(map(len, rows)) <= {len(casts)}:
+            cells = list(zip(*rows)) or [()] * len(casts)
+            return [np.array(column, dtype=cast) if isinstance(cast, type)
+                    else np.asarray(list(map(cast, column)))
+                    for cast, column in zip(casts, cells)]
+    except (ValueError, OverflowError):
+        pass
     columns = [[] for _ in casts]
     for lineno, fields in lines:
         if len(fields) != len(casts):

@@ -25,8 +25,11 @@ from .errors import DataError, SolverError
 
 TRIANGLE_TOL = 1e-6
 MAX_ROUNDS = 200   # separation rounds, each with at most one solve
+SEED_ROWS = 3      # certificate rows kept per disagreeing edge and side
 ORACLE_MAX_N = 12  # Bell(12) ~ 4.2e6 partitions for brute_force_optimum
 _SNAP = 1e-9
+_MOVE_GAIN = 1e-12  # least cost drop that makes a single-node move worth taking
+_BOUND_GAP = 1e-6   # largest objective - dual bound, relative to max(1, |objective|)
 _BLOCK_ELEMENTS = 2 ** 16  # triangle violations held by one separation block
 _HIGHS = "scipy.optimize._highspy._core"  # the one scipy module edgeclust uses
 
@@ -125,20 +128,117 @@ def _violated_triangles(x: np.ndarray, tol: float) -> np.ndarray:
     return ids[np.argsort(-vals, kind="stable")]
 
 
+def _pivot_moves(signed: np.ndarray) -> np.ndarray:
+    """Cluster of each node, named by a node index, in a local optimum of
+    the disagreement cost on the symmetric signed cost matrix (+cost on a
+    positive edge, -cost on a negative one, 0 off the kept edges). A pivot
+    pass in index order lets the lowest unassigned node take every
+    unassigned node it has a positive edge to; then, while some move of one
+    node to another cluster or to a new singleton lowers the cost by more
+    than _MOVE_GAIN, the best such move is made, ties to the lowest node and
+    then the lowest cluster. S = signed·onehot holds each node's summed
+    signed cost into each cluster, so moving v from k to k' lowers the cost
+    by S[v, k'] - S[v, k] and updates two columns of S."""
+    a = len(signed)
+    labels = np.full(a, -1)
+    for v in range(a):
+        if labels[v] < 0:
+            labels[(labels < 0) & (signed[v] > 0)] = v
+            labels[v] = v
+    s = np.zeros((a, a))
+    np.add.at(s.T, labels, signed)  # column k sums signed over k's members
+    nodes = np.arange(a)
+    while a:  # a graph without kept edges has no active nodes
+        gain = s - s[nodes, labels][:, None]
+        v, k = divmod(int(np.argmax(gain)), a)
+        if gain[v, k] <= _MOVE_GAIN:
+            break
+        s[:, labels[v]] -= signed[v]
+        s[:, k] += signed[v]
+        labels[v] = k
+    return labels
+
+
+def _seed_rows(signed: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Flat ids, as _violated_triangles gives them, of the triangle rows
+    x_ij <= x_il + x_lj tight at the clustering ``labels`` that hold an edge
+    it disagrees with on the side that needs dual weight: a negative edge
+    (i, j) inside a cluster as x_ij, with l in that cluster; a cut positive
+    edge (u, v) as x_uv on the right of the row over (u, w) with third node
+    v, for w in v's cluster, and the same with u and v swapped. Per edge and
+    side only the SEED_ROWS rows whose other two edges the clustering agrees
+    with most strongly are kept, ties to the lowest l or w, where an edge's
+    agreement is its cost if the clustering agrees with it, minus its cost
+    if not, and 0 off the kept edges. Edges go in blocks of at most
+    _BLOCK_ELEMENTS scores. Sorted and unique."""
+    a = labels.size
+    same = labels[:, None] == labels
+    agree = np.where(same, signed, -signed)
+    i, j = np.nonzero(np.triu(agree < 0))
+    inside = same[i, j]
+    # one (p, q) per edge and side, with the third node w in q's cluster
+    # outside {p, q}: the row is over (p, q) with third node w for an edge
+    # inside, over (p, w) with third node q for a cut one
+    p = np.concatenate([i[inside], i[~inside], j[~inside]])
+    q = np.concatenate([j[inside], j[~inside], i[~inside]])
+    ids = [np.empty(0, dtype=np.intp)]
+    step = max(1, _BLOCK_ELEMENTS // max(1, a))
+    for e0 in range(0, p.size, step):
+        pb, qb = p[e0:e0 + step], q[e0:e0 + step]
+        rows = np.arange(pb.size)
+        score = np.minimum(agree[pb], agree[qb])
+        score[labels[qb][:, None] != labels] = -np.inf
+        score[rows, pb] = score[rows, qb] = -np.inf
+        top = np.argsort(-score, axis=1, kind="stable")[:, :SEED_ROWS]
+        e, t = np.nonzero(np.isfinite(np.take_along_axis(score, top, axis=1)))
+        w, pe, qe, cut = top[e, t], pb[e], qb[e], e + e0 >= inside.sum()
+        v, third = np.where(cut, w, qe), np.where(cut, qe, w)
+        ids.append((np.minimum(pe, v) * a + np.maximum(pe, v)) * a + third)
+    return _unique(np.concatenate(ids))
+
+
+def _unique(ids: np.ndarray) -> np.ndarray:
+    """np.unique of non-negative integers by one sort, which numpy 2 does
+    faster than its hashing np.unique at the sizes here."""
+    ids = np.sort(ids)
+    return ids[np.diff(ids, prepend=-1) > 0]
+
+
 # the CSR fields linprog reads, which a scipy csr_array has too
 CsrRows = namedtuple("CsrRows", "data indices indptr shape")
-LPResult = namedtuple("LPResult", "success message x slack nit", defaults=(None, None, 0))
+LPResult = namedtuple("LPResult", "success message x slack nit row_dual",
+                      defaults=(None, None, 0, None))
+
+
+def _triangle_rows(flat: np.ndarray, var: np.ndarray, nvars: int) -> CsrRows:
+    """x_ij - x_il - x_lj <= 0 for each flat triangle id i*a*a + j*a + l, as
+    CSR rows over the pair variables var."""
+    a = var.shape[0]
+    i, j, l = np.unravel_index(flat, (a, a, a))
+    return CsrRows(np.tile([1.0, -1.0, -1.0], flat.size),
+                   np.stack([var[i, j], var[i, l], var[l, j]], axis=1).ravel(),
+                   np.arange(0, 3 * flat.size + 1, 3), (flat.size, nvars))
+
+
+def dual_bound(c: np.ndarray, const: float, rows: CsrRows,
+               y: np.ndarray) -> float:
+    """const + sum_j min(0, (c + A^T y)_j): for any y >= 0 a lower bound on
+    min c.x + const s.t. A x <= 0, 0 <= x <= 1, with A the CSR ``rows``."""
+    weights = rows.data * np.repeat(y, np.diff(rows.indptr))
+    reduced = c + np.bincount(rows.indices, weights=weights, minlength=c.size)
+    return float(const + np.minimum(reduced, 0.0).sum())
 
 
 def linprog(c: np.ndarray, A_ub: CsrRows, b_ub: np.ndarray) -> LPResult:
     """Solve min c.x s.t. A_ub x <= b_ub, 0 <= x <= 1 by one cold HiGHS dual
     simplex with presolve off. Returns success (optimal), HiGHS's model
-    status text as message and, on success, x, slack = b_ub - A_ub x and nit
-    (simplex iterations). lp_relax calls it through this module global with
-    A_ub by keyword, as perfbench's tracer and the tests expect. The LP is
-    feasible (x = 0) and bounded, so presolve has nothing to detect; it only
-    costs time, and on sparsified graphs its vertex tends to violate
-    triangles not yet added, which costs another round."""
+    status text as message and, on success, x, slack = b_ub - A_ub x, nit
+    (simplex iterations) and HiGHS's row duals, each <= 0 on a row this
+    minimization presses against. lp_relax calls it through this module
+    global with A_ub by keyword, as perfbench's tracer and the tests expect.
+    The LP is feasible (x = 0) and bounded, so presolve has nothing to
+    detect; it only costs time, and on sparsified graphs its vertex tends to
+    violate triangles not yet added, which costs another round."""
     m, n = A_ub.shape
     h = highs._Highs()
     h.setOptionValue("output_flag", False)
@@ -159,18 +259,25 @@ def linprog(c: np.ndarray, A_ub: CsrRows, b_ub: np.ndarray) -> LPResult:
     solution = h.getSolution()
     return LPResult(True, message, x=np.array(solution.col_value),
                     slack=b_ub - solution.row_value,
-                    nit=h.getInfo().simplex_iteration_count)
+                    nit=h.getInfo().simplex_iteration_count,
+                    row_dual=np.array(solution.row_dual))
 
 
 def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     """Solve the metric LP relaxation with lazy triangle-constraint
-    generation, starting from the rowless optimum: each variable at the
-    bound its cost favours, 1 on a negative edge and 0 elsewhere. Each of at
-    most MAX_ROUNDS rounds adds a row for every triangle inequality the
-    current solution violates, then solves with all rows so far; a round
-    that adds none returns a lower bound on the optimal disagreement cost.
-    Nodes off every kept edge sit at distance 1, so a graph without kept
-    edges has no variables and gets 1 - I with objective 0."""
+    generation, starting from a clustering P of the active nodes
+    (_pivot_moves): x is 1 on each kept edge P cuts and 0 on every other
+    pair. The first of at most MAX_ROUNDS rounds adds a row for every
+    triangle inequality that start violates and P's certificate rows
+    (_seed_rows); each later round adds a row for every triangle inequality
+    the last optimum violates. Every round solves with all rows so far, and
+    a round that adds none returns the last optimum, whose objective the row
+    duals of its solve must bound from below (dual_bound) to within
+    _BOUND_GAP. When P agrees with every kept edge the start is the rowless
+    optimum (1 on a negative edge, 0 elsewhere), so one that violates no
+    triangle returns without a solve. Nodes off every kept edge sit at
+    distance 1, so a graph without kept edges has no variables and gets
+    1 - I with objective 0."""
     metric = 1.0 - np.eye(g.n)
     nodes = np.unique(g.pairs)
     a = nodes.size
@@ -182,33 +289,47 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     nvars = iu[0].size
 
     local = np.searchsorted(nodes, g.pairs)
+    li, lj = local.T
     pos = g.signs > 0
     c = np.zeros(nvars)
-    c[var[local[:, 0], local[:, 1]]] = np.where(pos, g.costs, -g.costs)
+    c[var[li, lj]] = np.where(pos, g.costs, -g.costs)
+    signed = np.zeros((a, a))
+    signed[li, lj] = signed[lj, li] = c[var[li, lj]]
 
-    x = (c < 0).astype(float)
+    labels = _pivot_moves(signed)
+    x = np.zeros(nvars)
+    x[var[li, lj]] = labels[li] != labels[lj]
+    seed = _seed_rows(signed, labels)
+    # the start is an optimum only where it is the rowless one
+    optimal = np.array_equal(x, c < 0)
     added = np.empty(0, dtype=np.intp)  # flat triangle ids, one row each
+    rows, duals = _triangle_rows(added, var, nvars), np.empty(0)
     for _ in range(MAX_ROUNDS):
         xm = np.where(var >= 0, x[var], 0.0)
         flat = _violated_triangles(xm, TRIANGLE_TOL)
         # HiGHS meets its rows to 1e-7, so only a faulty optimum gets here
-        if np.isin(flat, added).any():
+        if np.isin(flat, added, assume_unique=True).any():
             raise SolverError("the LP optimum violates one of its triangle rows")
-        if not flat.size:
+        if optimal and not flat.size:
             metric[np.ix_(nodes, nodes)] = xm
             # cost times x's distance from the value the edge's sign wants:
             # never negative, and an integral x sums as disagreement_cost does
-            terms = g.costs * np.abs(xm[local[:, 0], local[:, 1]] - ~pos)
-            return FractionalMetric(x=metric, objective=float(terms[terms > 0].sum()))
-        added = np.concatenate([added, flat])
-        i, j, l = np.unravel_index(added, (a, a, a))
-        a_ub = CsrRows(np.tile([1.0, -1.0, -1.0], added.size),
-                       np.stack([var[i, j], var[i, l], var[l, j]], axis=1).ravel(),
-                       np.arange(0, 3 * added.size + 1, 3), (added.size, nvars))
-        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(added.size))
+            terms = g.costs * np.abs(xm[li, lj] - ~pos)
+            objective = float(terms[terms > 0].sum())
+            bound = dual_bound(c, g.costs[~pos].sum(), rows,
+                               np.maximum(0.0, -duals))
+            if objective - bound > _BOUND_GAP * max(1.0, abs(objective)):
+                raise SolverError(f"the LP objective {objective} exceeds the "
+                                  f"bound {bound} its row duals give")
+            return FractionalMetric(x=metric, objective=objective)
+        if seed.size:  # the first round's rows go in flat-id order
+            flat, seed = _unique(np.append(flat, seed)), seed[:0]
+        added, optimal = np.concatenate([added, flat]), True
+        rows = _triangle_rows(added, var, nvars)
+        res = linprog(c, A_ub=rows, b_ub=np.zeros(added.size))
         if not res.success:
             raise SolverError(f"LP solve failed: {res.message}")
-        x = res.x
+        x, duals = res.x, res.row_dual
         x[x < _SNAP] = 0.0
         x[x > 1.0 - _SNAP] = 1.0
     raise SolverError("lazy triangle generation exceeded its round budget")

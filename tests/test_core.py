@@ -36,6 +36,24 @@ def test_duplicate_pairs_with_negative_ids():
     assert has_duplicate_pairs(np.array([[-3, 5], [0, 1], [-3, 5]]))
 
 
+def parse_lines_cell_by_cell(path, lines, casts):
+    """parse_lines as a loop over the rows that casts every cell by itself
+    and stops at the first short row or rejected cell: the reference the
+    column casts must match."""
+    columns = [[] for _ in casts]
+    for lineno, fields in lines:
+        if len(fields) != len(casts):
+            raise DataError(f"{path}:{lineno}: expected {len(casts)} fields, "
+                            f"found {len(fields)}")
+        for col, (cast, cell) in enumerate(zip(casts, fields), start=1):
+            try:
+                columns[col - 1].append(cast(cell))
+            except (ValueError, OverflowError):
+                raise DataError(f"{path}:{lineno}: column {col}: cannot read "
+                                f"{cell.strip()!r}") from None
+    return [np.asarray(column) for column in columns]
+
+
 class TestTextFiles:
     def test_round_trip_skips_blank_lines(self, tmp_path):
         path = tmp_path / "rows.tsv"
@@ -54,6 +72,40 @@ class TestTextFiles:
         path.write_text(text)
         with pytest.raises(DataError, match=re.escape(f"{path}{where}")):
             parse_lines(path, read_lines(path, "\t"), (int, float))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(
+        ["0", "1", "-7", "+1", " 2 ", "1_0", "2.5", "1e3", "x", "", "nan",
+         "9223372036854775807", "9223372036854775808", "-" + "9" * 25]),
+        min_size=2, max_size=4), max_size=6))
+    def test_columns_match_cell_by_cell_reading(self, rows):
+        # the column casts give the values, dtypes and first error (in file
+        # order) that casting each cell in turn gives
+        lines = [(2 * k + 1, fields) for k, fields in enumerate(rows)]
+
+        def flag(cell):
+            if int(cell) not in (0, 1):
+                raise ValueError(cell)
+            return int(cell) == 1
+
+        for casts in ((np.int64, float, np.int64), (np.int64, np.int64, flag)):
+            want = got = None
+            try:
+                want = parse_lines_cell_by_cell("f", lines, casts)
+            except DataError as err:
+                want = str(err)
+            try:
+                got = parse_lines("f", lines, casts)
+            except DataError as err:
+                got = str(err)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            for g, w in zip(got, want, strict=True):
+                assert g.tolist() == w.tolist() or np.isnan(w).any()
+                assert np.array_equal(g, w, equal_nan=w.dtype.kind == "f")
+                # an empty column used to come out as float64
+                assert g.dtype == w.dtype or not lines
 
     def test_non_utf8_rejected(self, tmp_path):
         path = tmp_path / "rows.tsv"

@@ -15,9 +15,10 @@ from conftest import EDGE_SPEC, make_graph, random_graph, unit_triangle
 from edgeclust import corrclust
 from edgeclust.core import validate_partition
 from edgeclust.corrclust import (CsrRows, FractionalMetric, LPResult,
-                                 TRIANGLE_TOL, brute_force_optimum, c1_constant,
-                                 disagreement_cost, kwik_cluster, lp_relax,
-                                 round_regions, solve, _BLOCK_ELEMENTS,
+                                 SEED_ROWS, TRIANGLE_TOL, brute_force_optimum,
+                                 c1_constant, disagreement_cost, dual_bound,
+                                 kwik_cluster, lp_relax, round_regions, solve,
+                                 _BLOCK_ELEMENTS, _pivot_moves, _seed_rows,
                                  _set_partitions, _violated_triangles)
 from edgeclust.errors import DataError, SolverError
 from edgeclust.pipeline import RunConfig, run_pipeline
@@ -39,10 +40,11 @@ def naive_violations(x, tol):
     return found
 
 
-def full_lp_objective(g):
-    """Optimum of the metric LP over all g.n >= 3 nodes with every triangle
-    row, from one scipy linprog call with scipy's defaults; the objective
-    counts each negative edge's cost C_ij*(1 - x_ij)."""
+def full_lp(g):
+    """(c, const, rows) of the metric LP over all g.n nodes with every
+    triangle row x_ij - x_il - x_lj <= 0 (i < j, l outside {i, j}) as
+    CsrRows: min c.x + const counts each negative edge's cost
+    C_ij*(1 - x_ij)."""
     n = g.n
     iu = np.triu_indices(n, k=1)
     var = np.zeros((n, n), dtype=int)
@@ -53,14 +55,21 @@ def full_lp_objective(g):
     c[var[g.pairs[:, 0], g.pairs[:, 1]]] = np.where(pos, g.costs, -g.costs)
     rows = [(var[i, j], var[i, l], var[l, j]) for i in range(n)
             for j in range(i + 1, n) for l in range(n) if l not in (i, j)]
-    a_ub = np.zeros((len(rows), c.size))
-    for r, (ij, il, lj) in enumerate(rows):
-        a_ub[r, ij] += 1.0
-        a_ub[r, il] -= 1.0
-        a_ub[r, lj] -= 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(len(rows)), bounds=(0.0, 1.0))
+    return c, g.costs[~pos].sum(), CsrRows(
+        np.tile([1.0, -1.0, -1.0], len(rows)),
+        np.array(rows, dtype=int).reshape(-1), np.arange(0, 3 * len(rows) + 1, 3),
+        (len(rows), c.size))
+
+
+def full_lp_objective(g):
+    """Optimum of full_lp(g) for g.n >= 3 from one scipy linprog call with
+    scipy's defaults."""
+    c, const, rows = full_lp(g)
+    a_ub = sparse.csr_array((rows.data, rows.indices, rows.indptr),
+                            shape=rows.shape).toarray()
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(rows.shape[0]), bounds=(0.0, 1.0))
     assert res.success
-    return res.fun + g.costs[~pos].sum()
+    return res.fun + const
 
 
 def round_lps(run, *args):
@@ -82,7 +91,7 @@ def round_lps(run, *args):
 def assert_entry_matches_scipy(calls):
     """Each recorded entry result equals scipy's public linprog, given the
     same rows as a csr_array, bounds, method and presolve setting, bitwise on
-    x, slack and nit."""
+    x, slack, nit and the row duals."""
     for c, rows, b_ub, res in calls:
         a_ub = sparse.csr_array((rows.data, rows.indices, rows.indptr),
                                 shape=rows.shape)
@@ -92,6 +101,7 @@ def assert_entry_matches_scipy(calls):
         assert np.array_equal(res.x, want.x)
         assert np.array_equal(res.slack, want.slack)
         assert res.nit == want.nit
+        assert np.array_equal(res.row_dual, want.ineqlin.marginals)
 
 
 def tied_symmetric(a, rng):
@@ -179,6 +189,15 @@ def round_regions_two_pass(m, g):
         labels[chosen] = next_label
         unassigned &= ~chosen
     return validate_partition(labels)
+
+
+def signed_matrix(g):
+    """(g.n, g.n) symmetric signed costs: +cost on a positive kept edge,
+    -cost on a negative one, 0 elsewhere."""
+    signed = np.zeros((g.n, g.n))
+    i, j = g.pairs.T
+    signed[i, j] = signed[j, i] = g.signs * g.costs
+    return signed
 
 
 @st.composite
@@ -305,8 +324,39 @@ class TestLpRelax:
         assert np.array_equal(m.x, (labels[:, None] != labels).astype(float))
         assert m.objective == 0.0
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_clustered_signs_need_no_solve(self, data):
+        # every pair of the active nodes kept, with the sign of a clustering:
+        # the start is that clustering's metric, an optimum of cost 0
+        n = data.draw(st.integers(2, 8))
+        labels = np.array(data.draw(st.lists(st.integers(1, 3), min_size=n,
+                                             max_size=n)))
+        active = data.draw(st.lists(st.sampled_from(range(n)), min_size=2,
+                                    unique=True).map(sorted))
+        edges = [(i, j, 1 if labels[i] == labels[j] else -1,
+                  data.draw(st.floats(1e-6, 10.0)))
+                 for i in active for j in active if i < j]
+        calls = round_lps(lp_relax, make_graph(n, edges))
+        assert calls == []
+        m = lp_relax(make_graph(n, edges))
+        want = (labels[:, None] != labels).astype(float)
+        off = np.setdiff1d(np.arange(n), active)
+        want[off], want[:, off] = 1.0, 1.0
+        np.fill_diagonal(want, 0.0)
+        assert np.array_equal(m.x, want)
+        assert m.objective == 0.0
+
+    def test_bound_below_objective_raises(self, monkeypatch):
+        # duals of 0 bound the unit triangle's LP by 0, below its optimum 1
+        linprog = corrclust.linprog
+        monkeypatch.setattr(corrclust, "linprog", lambda c, A_ub, b_ub: linprog(
+            c, A_ub=A_ub, b_ub=b_ub)._replace(row_dual=np.zeros(len(b_ub))))
+        with pytest.raises(SolverError, match="bound 0.0 its row duals give"):
+            lp_relax(unit_triangle())
+
     def test_round_budget_exhausted(self, monkeypatch):
-        # the sign solution of the unit triangle violates a triangle, so a
+        # the start keeps the unit triangle's negative edge inside, so a
         # budget of one round ends after a solve it never checks
         monkeypatch.setattr(corrclust, "MAX_ROUNDS", 1)
         with pytest.raises(SolverError, match="round budget"):
@@ -319,8 +369,9 @@ class TestLpRelax:
             lp_relax(unit_triangle())
 
     def test_optimum_violating_its_own_row_raises(self, monkeypatch):
-        # a faulty solver that hands back the rowless start as optimal: its
-        # violated triangle is already a row, so the round must not pass it
+        # a faulty solver that hands back the rowless optimum as optimal:
+        # its violated triangle is already a row (a seed row here), so the
+        # round must not pass it
         def stuck_linprog(c, A_ub, b_ub):
             x = (c < 0).astype(float)
             return LPResult(success=True, message="Optimal", x=x,
@@ -331,25 +382,33 @@ class TestLpRelax:
             lp_relax(unit_triangle())
 
     def test_every_violated_triangle_added_each_round(self, monkeypatch):
-        # each round adds every violated row, so this instance is feasible
-        # after its second solve
-        solves, metrics = [], []
-        linprog, relax = corrclust.linprog, corrclust.lp_relax
-
-        def counted_linprog(*args, **kwargs):
-            solves.append(kwargs["A_ub"])
-            return linprog(*args, **kwargs)
+        # every triangle that one solve's optimum violates is a row of the
+        # next solve, and the returned metric violates none
+        metrics = []
+        relax = corrclust.lp_relax
 
         def kept_relax(g):
             metrics.append(relax(g))
             return metrics[-1]
 
-        monkeypatch.setattr(corrclust, "linprog", counted_linprog)
         monkeypatch.setattr(corrclust, "lp_relax", kept_relax)
-        run_pipeline(RunConfig(dataset="crossbones", algo="lp", holdout=45,
-                               pairs=500, noise=0.03, seed=13))
-        assert len(metrics) == 1
-        assert len(solves) <= 2
+        calls = round_lps(run_pipeline, RunConfig(
+            dataset="crossbones", algo="lp", holdout=45, pairs=500,
+            noise=0.03, seed=13))
+        assert len(metrics) == 1 and len(calls) >= 2
+        for (_, _, _, res), (_, rows, _, _) in zip(calls, calls[1:]):
+            # the optimum as lp_relax snaps it, over the a active nodes
+            x = np.where(res.x < 1e-9, 0.0, np.where(res.x > 1 - 1e-9, 1.0, res.x))
+            a = int(round((1 + math.sqrt(1 + 8 * x.size)) / 2))
+            var = np.zeros((a, a), dtype=int)
+            var[np.triu_indices(a, k=1)] = np.arange(x.size)
+            var = var + var.T
+            xm = np.where(np.eye(a, dtype=bool), 0.0, x[var])
+            i, j, l = np.unravel_index(_violated_triangles(xm, TRIANGLE_TOL),
+                                       (a, a, a))
+            have = set(map(tuple, rows.indices.reshape(-1, 3).tolist()))
+            want = zip(var[i, j].tolist(), var[i, l].tolist(), var[l, j].tolist())
+            assert set(want) <= have
         assert metrics[0].max_triangle_violation() <= TRIANGLE_TOL
 
     @pytest.mark.parametrize("seed", range(1, 6))
@@ -397,6 +456,87 @@ class TestLpRelax:
             assert m.max_triangle_violation() <= TRIANGLE_TOL
             assert np.all(m.x >= 0.0) and np.all(m.x <= 1.0)
             assert np.allclose(np.diag(m.x), 0.0)
+
+
+class TestPartitionStart:
+    @given(small_signed_graphs(max_n=8))
+    @settings(max_examples=100, deadline=None)
+    def test_moves_end_at_local_optimum(self, g):
+        # no move of one node to another cluster or to a new singleton
+        # lowers the disagreement cost by more than 1e-12
+        labels = _pivot_moves(signed_matrix(g))
+        cost = disagreement_cost(g, validate_partition(labels))
+        for v in range(g.n):
+            for target in [*np.unique(labels), g.n]:
+                moved = labels.copy()
+                moved[v] = target
+                assert disagreement_cost(g, validate_partition(moved)) \
+                    >= cost - 1e-12 * max(1.0, cost)
+
+    @given(small_signed_graphs(max_n=8))
+    @settings(max_examples=100, deadline=None)
+    def test_seed_rows_are_tight_certificate_rows(self, g):
+        # each row x_ij <= x_il + x_lj is tight at the clustering and holds
+        # an edge it disagrees with where the edge needs dual weight: a
+        # negative edge kept inside as x_ij, or a cut positive one on the
+        # right; each such edge and side gives at most SEED_ROWS rows
+        signed = signed_matrix(g)
+        labels = _pivot_moves(signed)
+        cut = (labels[:, None] != labels).astype(float)
+        n = g.n
+        seeds = _seed_rows(signed, labels)
+        assert np.array_equal(seeds, np.unique(seeds))
+        per_side = {}
+        for i, j, l in zip(*np.unravel_index(seeds, (n, n, n))):
+            assert i < j and l not in (i, j)
+            assert cut[i, j] == cut[i, l] + cut[l, j]
+            holds = []
+            if signed[i, j] < 0 and not cut[i, j]:
+                holds.append(((i, j), None))
+            for u in (i, j):  # a cut positive (u, l), on l's side
+                if signed[u, l] > 0 and cut[u, l]:
+                    holds.append(((min(u, l), max(u, l)), l))
+            assert holds
+            for key in holds:
+                per_side[key] = per_side.get(key, 0) + 1
+        assert max(per_side.values(), default=0) <= SEED_ROWS
+
+    @pytest.mark.parametrize("edges, want", [
+        # one cluster of six with the negative edge (0, 1) inside: the rows
+        # (0, 1, l) for the three l with the largest min(C_0l, C_1l)
+        ([(0, 1, -1, 0.5)] + [(i, j, 1, 10.0) for i in range(6)
+                              for j in range(i + 1, 6) if (i, j) != (0, 1)
+                              and i != 1]
+         + [(1, l, 1, c) for l, c in zip(range(2, 6), (1.0, 4.0, 3.0, 2.0))],
+         [(0, 1, l) for l in (3, 4, 5)]),
+        # the cluster 0..5 and node 6 cut off it across the positive edge
+        # (0, 6): the rows (w, 6, 0) for the three w in 0's cluster with the
+        # largest min(C_6w, C_0w)
+        ([(0, 6, 1, 0.5)] + [(i, j, 1, 10.0) for i in range(6)
+                             for j in range(i + 1, 6)]
+         + [(w, 6, -1, c) for w, c in zip(range(1, 6), (1.0, 4.0, 3.0, 2.0, 5.0))],
+         [(w, 6, 0) for w in (2, 3, 5)]),
+    ])
+    def test_seed_rows_keep_the_best_agreeing(self, edges, want):
+        g = make_graph(max(max(i, j) for i, j, _, _ in edges) + 1, edges)
+        signed = signed_matrix(g)
+        labels = _pivot_moves(signed)
+        assert validate_partition(labels).labels.tolist() == [1] * 6 + [2] * (g.n - 6)
+        n = g.n
+        assert _seed_rows(signed, labels).tolist() == [
+            (i * n + j) * n + l for i, j, l in want]
+
+    @given(small_signed_graphs(max_n=8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_dual_bound_below_optimum(self, g, seed):
+        # any y >= 0 over any triangle rows bounds the optimal disagreement
+        # cost from below
+        rng = np.random.default_rng(seed)
+        c, const, rows = full_lp(g)
+        y = rng.exponential(rng.choice([1e-3, 1.0, 10.0]), rows.shape[0])
+        y[rng.random(y.size) < rng.random()] = 0.0
+        _, opt = brute_force_optimum(g)
+        assert dual_bound(c, const, rows, y) <= opt + 1e-9 * max(1.0, opt)
 
 
 class TestHighsEntry:
