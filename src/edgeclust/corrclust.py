@@ -181,6 +181,7 @@ def _seed_rows(signed: np.ndarray, labels: np.ndarray) -> np.ndarray:
     # inside, over (p, w) with third node q for a cut one
     p = np.concatenate([i[inside], i[~inside], j[~inside]])
     q = np.concatenate([j[inside], j[~inside], i[~inside]])
+    cut = np.arange(p.size) >= inside.sum()
     ids = [np.empty(0, dtype=np.intp)]
     step = max(1, _BLOCK_ELEMENTS // max(1, a))
     for e0 in range(0, p.size, step):
@@ -191,8 +192,8 @@ def _seed_rows(signed: np.ndarray, labels: np.ndarray) -> np.ndarray:
         score[rows, pb] = score[rows, qb] = -np.inf
         top = np.argsort(-score, axis=1, kind="stable")[:, :SEED_ROWS]
         e, t = np.nonzero(np.isfinite(np.take_along_axis(score, top, axis=1)))
-        w, pe, qe, cut = top[e, t], pb[e], qb[e], e + e0 >= inside.sum()
-        v, third = np.where(cut, w, qe), np.where(cut, qe, w)
+        w, pe, qe, ce = top[e, t], pb[e], qb[e], cut[e + e0]
+        v, third = np.where(ce, w, qe), np.where(ce, qe, w)
         ids.append((np.minimum(pe, v) * a + np.maximum(pe, v)) * a + third)
     return _unique(np.concatenate(ids))
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from edgeclust.core import (Partition, SampleSet, co_membership,
                             has_duplicate_pairs, nmi, parse_lines, read_lines,
                             score, validate_partition, write_lines)
+from edgeclust.datagen import _flag
 from edgeclust.errors import DataError
 
 labels_arrays = st.lists(st.integers(min_value=-5, max_value=5),
@@ -82,13 +83,7 @@ class TestTextFiles:
         # the column casts give the values, dtypes and first error (in file
         # order) that casting each cell in turn gives
         lines = [(2 * k + 1, fields) for k, fields in enumerate(rows)]
-
-        def flag(cell):
-            if int(cell) not in (0, 1):
-                raise ValueError(cell)
-            return int(cell) == 1
-
-        for casts in ((np.int64, float, np.int64), (np.int64, np.int64, flag)):
+        for casts in ((np.int64, float, np.int64), (np.int64, np.int64, _flag)):
             want = got = None
             try:
                 want = parse_lines_cell_by_cell("f", lines, casts)
