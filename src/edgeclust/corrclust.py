@@ -230,28 +230,46 @@ def dual_bound(c: np.ndarray, const: float, rows: CsrRows,
     return float(const + np.minimum(reduced, 0.0).sum())
 
 
-def linprog(c: np.ndarray, A_ub: CsrRows, b_ub: np.ndarray) -> LPResult:
-    """Solve min c.x s.t. A_ub x <= b_ub, 0 <= x <= 1 by one cold HiGHS dual
-    simplex with presolve off. Returns success (optimal), HiGHS's model
-    status text as message and, on success, x, slack = b_ub - A_ub x, nit
-    (simplex iterations) and HiGHS's row duals, each <= 0 on a row this
-    minimization presses against. lp_relax calls it through this module
-    global with A_ub by keyword, as perfbench's tracer and the tests expect.
-    The LP is feasible (x = 0) and bounded, so presolve has nothing to
-    detect; it only costs time, and on sparsified graphs its vertex tends to
-    violate triangles not yet added, which costs another round."""
+def linprog(c: np.ndarray, A_ub: CsrRows, b_ub: np.ndarray,
+            model=None) -> LPResult:
+    """Solve min c.x s.t. A_ub x <= b_ub, 0 <= x <= 1 by HiGHS's dual
+    simplex with presolve off. ``model`` is the HiGHS model (highs._Highs())
+    to solve in. An empty one, or None for a throwaway one, gets every row
+    and a cold solve. One that holds an earlier call's LP must hold c's
+    columns and the first rows of A_ub: it gets only the rows past its own,
+    and the dual simplex resumes from its last optimal basis with those rows
+    as basic slacks. Any other model is a model error. Returns success
+    (optimal), HiGHS's model status text as message and, on success, x,
+    slack = b_ub - A_ub x, nit (simplex iterations of this call) and
+    HiGHS's row duals, each <= 0 on a row this minimization presses against.
+    lp_relax calls it through this module global with A_ub by keyword, as
+    perfbench's tracer and the tests expect. The LP is feasible (x = 0) and
+    bounded, so presolve has nothing to detect; on sparsified graphs its
+    vertex tends to violate triangles not yet added, which costs another
+    round, and HiGHS does not presolve a model that has a basis anyway."""
     m, n = A_ub.shape
-    h = highs._Highs()
-    h.setOptionValue("output_flag", False)
-    h.setOptionValue("presolve", "off")
-    # run() solves whatever a rejected passModel leaves behind, and may call
-    # it optimal, so a rejected model never reaches run()
+    h = highs._Highs() if model is None else model
+    m0, nnz = h.getNumRow(), int(A_ub.indptr[-1])
+    # run() solves whatever a rejected model leaves behind, and may call it
+    # optimal, so a rejected model never reaches run()
     solved, status = False, highs.HighsModelStatus.kModelError
-    if h.passModel(
-            n, m, int(A_ub.indptr[-1]), int(highs.MatrixFormat.kRowwise),
+    if not (m0 or h.getNumCol()):
+        h.setOptionValue("output_flag", False)
+        h.setOptionValue("presolve", "off")
+        fed = h.passModel(
+            n, m, nnz, int(highs.MatrixFormat.kRowwise),
             int(highs.ObjSense.kMinimize), 0.0, c, np.zeros(n), np.ones(n),
             np.full(m, -highs.kHighsInf), b_ub, A_ub.indptr, A_ub.indices,
-            A_ub.data, np.zeros(n, dtype=np.int32)) != highs.HighsStatus.kError:
+            A_ub.data, np.zeros(n, dtype=np.int32)) != highs.HighsStatus.kError
+    elif h.getNumCol() == n and m0 <= m:
+        start = int(A_ub.indptr[m0])
+        fed = h.addRows(
+            m - m0, np.full(m - m0, -highs.kHighsInf), b_ub[m0:], nnz - start,
+            A_ub.indptr[m0:-1] - start, A_ub.indices[start:],
+            A_ub.data[start:]) != highs.HighsStatus.kError
+    else:
+        fed = False
+    if fed:
         solved = h.run() != highs.HighsStatus.kError
         status = h.getModelStatus()
     message = h.modelStatusToString(status)
@@ -271,9 +289,11 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     pair. The first of at most MAX_ROUNDS rounds adds a row for every
     triangle inequality that start violates and P's certificate rows
     (_seed_rows); each later round adds a row for every triangle inequality
-    the last optimum violates. Every round solves with all rows so far, and
-    a round that adds none returns the last optimum, whose objective the row
-    duals of its solve must bound from below (dual_bound) to within
+    the last optimum violates. Every round solves with all rows so far in
+    one HiGHS model kept for the call: the first solve is cold, and each
+    later one appends the new rows and resumes from the last optimal basis.
+    A round that adds none returns the last optimum, whose objective the
+    row duals of its solve must bound from below (dual_bound) to within
     _BOUND_GAP. When P agrees with every kept edge the start is the rowless
     optimum (1 on a negative edge, 0 elsewhere), so one that violates no
     triangle returns without a solve. Nodes off every kept edge sit at
@@ -305,6 +325,7 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     optimal = np.array_equal(x, c < 0)
     added = np.empty(0, dtype=np.intp)  # flat triangle ids, one row each
     rows, duals = _triangle_rows(added, var, nvars), np.empty(0)
+    model = highs._Highs()
     for _ in range(MAX_ROUNDS):
         xm = np.where(var >= 0, x[var], 0.0)
         flat = _violated_triangles(xm, TRIANGLE_TOL)
@@ -327,7 +348,7 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
             flat, seed = _unique(np.append(flat, seed)), seed[:0]
         added, optimal = np.concatenate([added, flat]), True
         rows = _triangle_rows(added, var, nvars)
-        res = linprog(c, A_ub=rows, b_ub=np.zeros(added.size))
+        res = linprog(c, A_ub=rows, b_ub=np.zeros(added.size), model=model)
         if not res.success:
             raise SolverError(f"LP solve failed: {res.message}")
         x, duals = res.x, res.row_dual

@@ -18,10 +18,13 @@ from edgeclust.corrclust import (CsrRows, FractionalMetric, LPResult,
                                  SEED_ROWS, TRIANGLE_TOL, brute_force_optimum,
                                  c1_constant, disagreement_cost, dual_bound,
                                  kwik_cluster, lp_relax, round_regions, solve,
-                                 _BLOCK_ELEMENTS, _pivot_moves, _seed_rows,
-                                 _set_partitions, _violated_triangles)
+                                 _BLOCK_ELEMENTS, _BOUND_GAP, _pivot_moves,
+                                 _seed_rows, _set_partitions,
+                                 _violated_triangles)
 from edgeclust.errors import DataError, SolverError
 from edgeclust.pipeline import RunConfig, run_pipeline
+
+HIGHS_TOL = 1e-7  # HiGHS's default primal and dual feasibility tolerance
 
 
 def naive_violations(x, tol):
@@ -73,13 +76,15 @@ def full_lp_objective(g):
 
 
 def round_lps(run, *args):
-    """(c, A_ub, b_ub, result) of every corrclust.linprog call that
-    run(*args) makes, with x copied before lp_relax snaps it in place."""
+    """(c, A_ub, b_ub, result, warm) of every corrclust.linprog call that
+    run(*args) makes, with x copied before lp_relax snaps it in place; warm
+    tells a call whose model already held a previous call's rows."""
     calls, entry = [], corrclust.linprog
 
-    def recorded(c, A_ub, b_ub):
-        res = entry(c, A_ub=A_ub, b_ub=b_ub)
-        calls.append((c, A_ub, b_ub, res._replace(x=res.x.copy())))
+    def recorded(c, A_ub, b_ub, model=None):
+        warm = model is not None and model.getNumRow() > 0
+        res = entry(c, A_ub=A_ub, b_ub=b_ub, model=model)
+        calls.append((c, A_ub, b_ub, res._replace(x=res.x.copy()), warm))
         return res
 
     with pytest.MonkeyPatch.context() as mp:
@@ -88,20 +93,50 @@ def round_lps(run, *args):
     return calls
 
 
+def scipy_linprog(c, rows, b_ub):
+    """scipy's public linprog on the same LP as corrclust.linprog: rows as a
+    csr_array, bounds 0 and 1, HiGHS with presolve off."""
+    a_ub = sparse.csr_array((rows.data, rows.indices, rows.indptr),
+                            shape=rows.shape)
+    return linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs",
+                   options={"presolve": False})
+
+
+def objective_tol(c, objective):
+    """How far two HiGHS optima of one LP with costs c may differ: 1e-9
+    relative, plus the total |c_j| below HIGHS_TOL, since HiGHS may leave a
+    variable whose cost is below its dual feasibility tolerance at either
+    bound."""
+    tiny = np.abs(c)[np.abs(c) < HIGHS_TOL]
+    return 1e-9 * max(1.0, abs(objective)) + tiny.sum()
+
+
 def assert_entry_matches_scipy(calls):
-    """Each recorded entry result equals scipy's public linprog, given the
-    same rows as a csr_array, bounds, method and presolve setting, bitwise on
-    x, slack, nit and the row duals."""
-    for c, rows, b_ub, res in calls:
-        a_ub = sparse.csr_array((rows.data, rows.indices, rows.indptr),
-                                shape=rows.shape)
-        want = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs",
-                       options={"presolve": False})
+    """A cold entry call (no model, or an empty one) equals scipy's public
+    linprog bitwise on x, slack, nit and the row duals. A warm call resumes
+    from another basis, so it is held to scipy's cold solve of the same rows
+    by value: the same c.x to objective_tol, x within [0, 1] and every row
+    met to HIGHS_TOL, and row duals whose dual_bound lies within _BOUND_GAP
+    of c.x."""
+    for c, rows, b_ub, res, warm in calls:
+        want = scipy_linprog(c, rows, b_ub)
         assert res.success and want.success
-        assert np.array_equal(res.x, want.x)
-        assert np.array_equal(res.slack, want.slack)
-        assert res.nit == want.nit
-        assert np.array_equal(res.row_dual, want.ineqlin.marginals)
+        if not warm:
+            assert np.array_equal(res.x, want.x)
+            assert np.array_equal(res.slack, want.slack)
+            assert res.nit == want.nit
+            assert np.array_equal(res.row_dual, want.ineqlin.marginals)
+            continue
+        objective = float(c @ res.x)
+        assert abs(objective - want.fun) <= objective_tol(c, want.fun)
+        assert np.all(res.x >= -HIGHS_TOL) and np.all(res.x <= 1.0 + HIGHS_TOL)
+        lhs = np.bincount(np.repeat(np.arange(rows.shape[0]), 3),
+                          weights=rows.data * res.x[rows.indices],
+                          minlength=rows.shape[0])
+        assert np.all(lhs <= b_ub + HIGHS_TOL)
+        assert np.allclose(res.slack, b_ub - lhs, rtol=0.0, atol=1e-9)
+        bound = dual_bound(c, 0.0, rows, np.maximum(0.0, -res.row_dual))
+        assert objective - bound <= _BOUND_GAP * max(1.0, abs(objective))
 
 
 def tied_symmetric(a, rng):
@@ -350,8 +385,9 @@ class TestLpRelax:
     def test_bound_below_objective_raises(self, monkeypatch):
         # duals of 0 bound the unit triangle's LP by 0, below its optimum 1
         linprog = corrclust.linprog
-        monkeypatch.setattr(corrclust, "linprog", lambda c, A_ub, b_ub: linprog(
-            c, A_ub=A_ub, b_ub=b_ub)._replace(row_dual=np.zeros(len(b_ub))))
+        monkeypatch.setattr(corrclust, "linprog", lambda c, A_ub, b_ub, model=None:
+                            linprog(c, A_ub=A_ub, b_ub=b_ub, model=model)
+                            ._replace(row_dual=np.zeros(len(b_ub))))
         with pytest.raises(SolverError, match="bound 0.0 its row duals give"):
             lp_relax(unit_triangle())
 
@@ -363,7 +399,7 @@ class TestLpRelax:
             lp_relax(unit_triangle())
 
     def test_failed_solve_raises(self, monkeypatch):
-        monkeypatch.setattr(corrclust, "linprog", lambda c, A_ub, b_ub:
+        monkeypatch.setattr(corrclust, "linprog", lambda c, A_ub, b_ub, model=None:
                             LPResult(success=False, message="Infeasible"))
         with pytest.raises(SolverError, match="LP solve failed: Infeasible"):
             lp_relax(unit_triangle())
@@ -372,7 +408,7 @@ class TestLpRelax:
         # a faulty solver that hands back the rowless optimum as optimal:
         # its violated triangle is already a row (a seed row here), so the
         # round must not pass it
-        def stuck_linprog(c, A_ub, b_ub):
+        def stuck_linprog(c, A_ub, b_ub, model=None):
             x = (c < 0).astype(float)
             return LPResult(success=True, message="Optimal", x=x,
                             slack=np.zeros(len(b_ub)), nit=0)
@@ -396,7 +432,7 @@ class TestLpRelax:
             dataset="crossbones", algo="lp", holdout=45, pairs=500,
             noise=0.03, seed=13))
         assert len(metrics) == 1 and len(calls) >= 2
-        for (_, _, _, res), (_, rows, _, _) in zip(calls, calls[1:]):
+        for (_, _, _, res, _), (_, rows, _, _, _) in zip(calls, calls[1:]):
             # the optimum as lp_relax snaps it, over the a active nodes
             x = np.where(res.x < 1e-9, 0.0, np.where(res.x > 1 - 1e-9, 1.0, res.x))
             a = int(round((1 + math.sqrt(1 + 8 * x.size)) / 2))
@@ -549,7 +585,7 @@ class TestHighsEntry:
         calls = round_lps(run_pipeline, RunConfig(
             dataset="crossbones", algo="lp", holdout=45, pairs=500,
             noise=0.03, seed=13))
-        assert calls
+        assert [warm for *_, warm in calls] == [False, True, True]
         assert_entry_matches_scipy(calls)
 
     def test_infeasible_lp_reports_status(self):
@@ -566,6 +602,76 @@ class TestHighsEntry:
         res = corrclust.linprog(np.ones(2), A_ub=a_ub, b_ub=np.zeros(1))
         assert not res.success
         assert res.message == "Model error"
+
+
+class RunCounted:
+    """A HiGHS model that counts its run() calls."""
+
+    def __init__(self):
+        self.model, self.runs = corrclust.highs._Highs(), 0
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def run(self):
+        self.runs += 1
+        return self.model.run()
+
+
+class TestWarmStart:
+    def test_rounds_take_fewer_iterations_than_cold_solves(self):
+        # the three solves of crossbones seed 13 on one model, against a
+        # throwaway model per solve over the same rows
+        calls = round_lps(run_pipeline, RunConfig(
+            dataset="crossbones", algo="lp", holdout=45, pairs=500,
+            noise=0.03, seed=13))
+        assert len(calls) == 3
+        cold = [corrclust.linprog(c, A_ub=rows, b_ub=b_ub).nit
+                for c, rows, b_ub, _, _ in calls]
+        warm = [res.nit for *_, res, _ in calls]
+        assert warm[0] == cold[0]
+        assert sum(warm) < sum(cold)
+
+    def test_no_new_rows_takes_no_iterations(self):
+        c, _, rows = full_lp(random_graph(6, np.random.default_rng(3)))
+        b_ub = np.zeros(rows.shape[0])
+        model = corrclust.highs._Highs()
+        first = corrclust.linprog(c, A_ub=rows, b_ub=b_ub, model=model)
+        again = corrclust.linprog(c, A_ub=rows, b_ub=b_ub, model=model)
+        assert first.success and again.success
+        assert first.nit > 0 and again.nit == 0  # nit counts this call only
+        assert np.array_equal(again.x, first.x)
+        assert np.array_equal(again.row_dual, first.row_dual)
+
+    def test_mismatched_model_is_rejected_before_run(self):
+        c, _, rows = full_lp(unit_triangle())
+        model = RunCounted()
+        assert corrclust.linprog(c, A_ub=rows, b_ub=np.zeros(3),
+                                 model=model).success
+        model.runs = 0
+        for c_, rows_ in [(c, CsrRows(  # two of the three rows it holds
+                              rows.data[:6], rows.indices[:6], rows.indptr[:3],
+                              (2, 3))),
+                          (np.append(c, 0.0), CsrRows(  # another column count
+                              rows.data, rows.indices, rows.indptr, (3, 4)))]:
+            res = corrclust.linprog(c_, A_ub=rows_, b_ub=np.zeros(rows_.shape[0]),
+                                    model=model)
+            assert not res.success and res.message == "Model error"
+        assert model.runs == 0 and model.getNumRow() == 3
+
+    @given(small_signed_graphs(max_n=12))
+    @settings(max_examples=60, deadline=None)
+    def test_warm_and_cold_lp_relax_agree(self, g):
+        # the same lazy loop with a throwaway model per solve: both pass the
+        # dual-bound check, and their objectives agree, though a warm round
+        # may end at another optimal vertex
+        warm = lp_relax(g).objective
+        entry = corrclust.linprog
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corrclust, "linprog", lambda c, A_ub, b_ub, model=None:
+                       entry(c, A_ub=A_ub, b_ub=b_ub))
+            cold = lp_relax(g).objective
+        assert abs(warm - cold) <= objective_tol(g.costs, cold)
 
 
 class TestRoundRegions:
