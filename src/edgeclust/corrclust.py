@@ -249,11 +249,11 @@ def linprog(c: np.ndarray, A_ub: CsrRows, b_ub: np.ndarray,
     round, and HiGHS does not presolve a model that has a basis anyway."""
     m, n = A_ub.shape
     h = highs._Highs() if model is None else model
-    m0, nnz = h.getNumRow(), int(A_ub.indptr[-1])
+    m0, n0, nnz = h.getNumRow(), h.getNumCol(), int(A_ub.indptr[-1])
     # run() solves whatever a rejected model leaves behind, and may call it
     # optimal, so a rejected model never reaches run()
     solved, status = False, highs.HighsModelStatus.kModelError
-    if not (m0 or h.getNumCol()):
+    if not (m0 or n0):
         h.setOptionValue("output_flag", False)
         h.setOptionValue("presolve", "off")
         fed = h.passModel(
@@ -261,7 +261,7 @@ def linprog(c: np.ndarray, A_ub: CsrRows, b_ub: np.ndarray,
             int(highs.ObjSense.kMinimize), 0.0, c, np.zeros(n), np.ones(n),
             np.full(m, -highs.kHighsInf), b_ub, A_ub.indptr, A_ub.indices,
             A_ub.data, np.zeros(n, dtype=np.int32)) != highs.HighsStatus.kError
-    elif h.getNumCol() == n and m0 <= m:
+    elif n0 == n and m0 <= m:
         start = int(A_ub.indptr[m0])
         fed = h.addRows(
             m - m0, np.full(m - m0, -highs.kHighsInf), b_ub[m0:], nnz - start,

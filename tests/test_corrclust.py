@@ -93,15 +93,6 @@ def round_lps(run, *args):
     return calls
 
 
-def scipy_linprog(c, rows, b_ub):
-    """scipy's public linprog on the same LP as corrclust.linprog: rows as a
-    csr_array, bounds 0 and 1, HiGHS with presolve off."""
-    a_ub = sparse.csr_array((rows.data, rows.indices, rows.indptr),
-                            shape=rows.shape)
-    return linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs",
-                   options={"presolve": False})
-
-
 def objective_tol(c, objective):
     """How far two HiGHS optima of one LP with costs c may differ: 1e-9
     relative, plus the total |c_j| below HIGHS_TOL, since HiGHS may leave a
@@ -113,13 +104,17 @@ def objective_tol(c, objective):
 
 def assert_entry_matches_scipy(calls):
     """A cold entry call (no model, or an empty one) equals scipy's public
-    linprog bitwise on x, slack, nit and the row duals. A warm call resumes
+    linprog, given the same rows as a csr_array, bounds, method and presolve
+    setting, bitwise on x, slack, nit and the row duals. A warm call resumes
     from another basis, so it is held to scipy's cold solve of the same rows
     by value: the same c.x to objective_tol, x within [0, 1] and every row
     met to HIGHS_TOL, and row duals whose dual_bound lies within _BOUND_GAP
     of c.x."""
     for c, rows, b_ub, res, warm in calls:
-        want = scipy_linprog(c, rows, b_ub)
+        a_ub = sparse.csr_array((rows.data, rows.indices, rows.indptr),
+                                shape=rows.shape)
+        want = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs",
+                       options={"presolve": False})
         assert res.success and want.success
         if not warm:
             assert np.array_equal(res.x, want.x)
@@ -130,9 +125,7 @@ def assert_entry_matches_scipy(calls):
         objective = float(c @ res.x)
         assert abs(objective - want.fun) <= objective_tol(c, want.fun)
         assert np.all(res.x >= -HIGHS_TOL) and np.all(res.x <= 1.0 + HIGHS_TOL)
-        lhs = np.bincount(np.repeat(np.arange(rows.shape[0]), 3),
-                          weights=rows.data * res.x[rows.indices],
-                          minlength=rows.shape[0])
+        lhs = a_ub @ res.x
         assert np.all(lhs <= b_ub + HIGHS_TOL)
         assert np.allclose(res.slack, b_ub - lhs, rtol=0.0, atol=1e-9)
         bound = dual_bound(c, 0.0, rows, np.maximum(0.0, -res.row_dual))
