@@ -85,6 +85,16 @@ class SolveCertificate:
     n: int
 
 
+def _eye(n: int, dtype=float) -> np.ndarray:
+    """The n x n identity; a node count whose n x n matrix cannot be
+    allocated is a DataError."""
+    try:
+        return np.eye(n, dtype=dtype)
+    except (MemoryError, ValueError):  # ValueError: n beyond numpy's dimensions
+        raise DataError(f"the graph has {n} nodes: its n x n matrix cannot "
+                        "be allocated") from None
+
+
 def _disagreements(positive: np.ndarray, costs: np.ndarray,
                    same: np.ndarray) -> float:
     """Cost of the positive edges cut plus the negative edges kept internal,
@@ -299,7 +309,8 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     triangle returns without a solve. Nodes off every kept edge sit at
     distance 1, so a graph without kept edges has no variables and gets
     1 - I with objective 0."""
-    metric = 1.0 - np.eye(g.n)
+    metric = _eye(g.n)
+    np.subtract(1.0, metric, out=metric)
     nodes = np.unique(g.pairs)
     a = nodes.size
     # variable index for each unordered pair over the active node set
@@ -414,7 +425,7 @@ def kwik_cluster(g: SignedWeightedGraph, rng: np.random.Generator) -> Partition:
     """Randomized pivot heuristic: each pivot absorbs every unassigned node
     joined to it by a positive kept edge."""
     n = g.n
-    joined = np.eye(n, dtype=bool)
+    joined = _eye(n, dtype=bool)
     i, j = g.pairs[g.signs > 0].T
     joined[i, j] = joined[j, i] = True
     labels = np.zeros(n, dtype=int)

@@ -16,11 +16,13 @@ from .edge_features import EdgeFeatureSet
 from .errors import ConfigError, DataError
 
 LOG_ODDS_CLAMP = 50.0
-# kernel values held at once by logpdf_many: 512 KiB of doubles for any m
+# kernel values logpdf_many holds at once: a chunk of 2^16 // m whole rows
+# (512 KiB of doubles) when m <= 2^16, else one row of m values
 _CHUNK_ELEMENTS = 2 ** 16
 # below log(smallest normal double) ~ -708.4 exp loses digits to subnormals,
 # and below ~ -745 it gives 0
-_LOG_TINY = float(np.log(np.finfo(float).tiny))
+_TINY = np.finfo(float).tiny
+_LOG_TINY = float(np.log(_TINY))
 
 
 @dataclass(frozen=True)
@@ -61,27 +63,40 @@ class DensityModel:
         # from the origin.
         mean = self.training_points.mean(axis=0)
         pts = (self.training_points - mean) / self.bandwidths
-        right = np.column_stack([pts, -0.5 * np.einsum("md,md->m", pts, pts),
-                                 np.full(self.m, -1.0)])
+        right = np.vstack([pts.T, -0.5 * np.einsum("md,md->m", pts, pts),
+                           np.full(self.m, -1.0)])
         const = (-np.sum(np.log(self.bandwidths * np.sqrt(2.0 * np.pi)))
                  - np.log(self.m))
         rows = max(1, _CHUNK_ELEMENTS // self.m)
-        out = np.empty(x.shape[0])
+        sums = np.empty(x.shape[0])
+        shift = np.zeros(x.shape[0])
+        buf = np.empty((min(rows, x.shape[0]), self.m))
+        ones = np.ones(self.m)
         with np.errstate(over="ignore", invalid="ignore"):
             q = (x - mean) / self.bandwidths
             half_q = 0.5 * np.einsum("qd,qd->q", q, q)
             left = np.column_stack([q, np.ones(len(q)), half_q])
+            # three passes a chunk, all in buf: exponents, exp, row sums
             for start in range(0, len(q), rows):
-                stop = start + rows
-                expo = left[start:stop] @ right.T
-                # log-sum-exp shift by the row max, only on the rows where
-                # every kernel would underflow to 0
-                top = expo.max(axis=1)
-                shift = np.where(top < _LOG_TINY, top, 0.0)
-                if shift.any():
-                    expo -= shift[:, None]
+                block = left[start:start + rows]
+                expo = np.matmul(block, right, out=buf[:len(block)])
                 np.exp(expo, out=expo)
-                out[start:stop] = np.log(expo.sum(axis=1)) + shift
+                np.matmul(expo, ones, out=sums[start:start + rows])
+            # a row whose largest exponent is below _LOG_TINY sums to at most
+            # m * tiny (2 * m * tiny leaves room for rounding), so only these
+            # rows can need the log-sum-exp shift by their max; each is
+            # recomputed and shifted when that max is below _LOG_TINY
+            low = np.flatnonzero(~(sums > 2 * self.m * _TINY))
+            for start in range(0, len(low), rows):
+                idx = low[start:start + rows]
+                expo = np.matmul(left[idx], right, out=buf[:len(idx)])
+                top = expo.max(axis=1)
+                top[~(top < _LOG_TINY)] = 0.0
+                expo -= top[:, None]
+                np.exp(expo, out=expo)
+                shift[idx] = top
+                sums[idx] = expo.sum(axis=1)
+            out = np.log(sums) + shift
         # a query whose squared norm overflows is in every kernel's far tail
         out[np.isposinf(half_q)] = -np.inf
         return np.maximum(out + const, LOG_FLOOR)

@@ -1,6 +1,9 @@
 """KDE fitting, the density query contract, log-odds, and signed-graph
 construction."""
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -15,9 +18,10 @@ from conftest import StepDensity, make_graph
 from edgeclust.datagen import EdgeLevelSpec, gen_edge_level
 from edgeclust.densities import (LOG_FLOOR, GaussianDensity, MixtureDensity,
                                  UniformBoxDensity, parse_density)
-from edgeclust.density import (_CHUNK_ELEMENTS, DensityModel, LOG_ODDS_CLAMP,
-                               SignedWeightedGraph, build_signed_graph,
-                               kde_fit, read_graph_tsv, write_graph_tsv)
+from edgeclust.density import (_CHUNK_ELEMENTS, _LOG_TINY, DensityModel,
+                               LOG_ODDS_CLAMP, SignedWeightedGraph,
+                               build_signed_graph, kde_fit, read_graph_tsv,
+                               write_graph_tsv)
 from edgeclust.edge_features import EdgeFeatureSet, all_pairs
 from edgeclust.errors import ConfigError, DataError
 
@@ -257,6 +261,64 @@ class TestKdeLogpdf:
         assert want[0] > LOG_FLOOR
         got = model.logpdf_many(queries)
         assert np.max(np.abs(got - want)) <= 1e-9
+
+    def test_underflowing_rows_past_the_first_chunk(self):
+        """Rows that need the shift sit in later chunks, among ordinary
+        rows, and each gets its own value back. A 40 x 25 lattice of
+        training points one bandwidth apart (bandwidths 1e-160, as above)
+        makes a chunk 65 rows. Queries 39 bandwidths below the lattice have
+        every exponent under -745 (all kernels underflow to 0), and one at
+        38.5 has its largest at -740, where exp keeps only a few bits of a
+        subnormal; both need the shift. The query at 37.6 has its largest
+        exponent just above _LOG_TINY, so its row sum is below 2 m tiny and
+        goes through the shift step unshifted."""
+        bw = np.full(2, 1e-160)
+        lattice = np.stack(np.meshgrid(np.arange(40.0), np.arange(25.0)),
+                           axis=-1).reshape(-1, 2)
+        model = DensityModel(training_points=lattice * 1e-160, bandwidths=bw)
+        m = model.m
+        rows = _CHUNK_ELEMENTS // m
+        nq = 6 * rows + 7
+        rng = np.random.default_rng(5)
+        queries = lattice[rng.integers(m, size=nq)] + rng.uniform(-2, 2, (nq, 2))
+        deep = [rows, rows + 1, 2 * rows + 3, 4 * rows - 1, nq - 1]
+        queries[deep] = np.column_stack([np.arange(5.0) * 7, np.full(5, -39.0)])
+        subnormal = 5 * rows
+        queries[subnormal] = [10.0, -np.sqrt(2 * 740.0)]
+        edge = 3 * rows + 2
+        queries[edge] = [20.0, -np.sqrt(-2 * (_LOG_TINY + 0.3))]
+        queries *= 1e-160
+        z = (queries[:, None, :] - model.training_points[None, :, :]) / bw
+        expo = -0.5 * np.sum(z * z, axis=2)
+        assert np.all(expo[deep] < -745) and np.all(np.exp(expo[deep]) == 0.0)
+        assert -745 < expo[subnormal].max() < _LOG_TINY - 1
+        assert _LOG_TINY < expo[edge].max() < _LOG_TINY + 1
+        assert np.exp(expo[edge]).sum() <= 2 * m * np.finfo(float).tiny
+        want = (logsumexp(expo, axis=1)
+                - np.sum(np.log(bw * np.sqrt(2.0 * np.pi))) - np.log(m))
+        assert np.all(want > LOG_FLOOR)
+        got = model.logpdf_many(queries)
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+    def test_same_bytes_with_one_and_two_blas_threads(self):
+        """3,000 queries x 2,500 points in d = 2, large enough for OpenBLAS
+        to split both the chunk products and the row sums over threads,
+        give the same bytes with one BLAS thread and with two."""
+        script = ("import sys\n"
+                  "import numpy as np\n"
+                  "from edgeclust.density import kde_fit\n"
+                  "rng = np.random.default_rng(11)\n"
+                  "model = kde_fit(rng.normal(size=(2500, 2)))\n"
+                  "out = model.logpdf_many(1.5 * rng.normal(size=(3000, 2)))\n"
+                  "sys.stdout.buffer.write(out.tobytes())\n")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, check=True)
+            outputs.append(proc.stdout)
+        assert len(outputs[0]) == 3000 * 8 and outputs[0] == outputs[1]
 
     def test_exact_hits_match_direct_formula(self, rng):
         pts = rng.normal(size=(60, 3)) * [1.0, 10.0, 0.1] + 5.0

@@ -1,6 +1,8 @@
 """End-to-end pipeline, report determinism, plotting, the CLI surface, and
 file round trips."""
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -301,6 +303,39 @@ class TestCli:
             "certify", "--graph", str(graph), "--labels", str(labels),
             "--n", "-5"]) == 3
 
+    def test_huge_node_count_is_data_error(self, tmp_path):
+        """A node count whose n x n matrix cannot be allocated exits 3 with
+        a message naming n, in a process limited to 2 GB of address space:
+        a graph file naming node 10^9, an --n of 10^9 or beyond int64, and
+        certify on 20,000 nodes (a 3.2 GB metric)."""
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                  "from edgeclust.cli import main\n"
+                  "sys.argv = ['edgeclust', *sys.argv[1:]]\n"
+                  "main()\n")
+        far = tmp_path / "far.tsv"
+        far.write_text("0\t1000000000\t+1\t1\n0\t1\t-1\t1\n")
+        one = tmp_path / "one.tsv"
+        one.write_text("0\t1\t+1\t1\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("1\n" * 20000)
+        out = str(tmp_path / "out.txt")
+        runs = [(["cluster", "--graph", str(far), "--algo", algo, "--out", out],
+                 "1000000001") for algo in ("pivot", "lp")]
+        runs += [(["cluster", "--graph", str(one), "--algo", algo, "--n", n,
+                   "--out", out], n)
+                 for algo in ("pivot", "lp")
+                 for n in ("1000000000", "100000000000000000000")]
+        runs += [(["certify", "--graph", str(one), "--labels", str(labels),
+                   "--n", "20000"], "20000")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        for args, n in runs:
+            proc = subprocess.run([sys.executable, "-c", script, *args],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == 3, (args, proc.stderr)
+            assert f"the graph has {n} nodes" in proc.stderr, args
+            assert "Traceback" not in proc.stderr, args
+
     def test_graph_file_keeps_node_count(self, tmp_path):
         # at sparsify 2 no kept edge reaches nodes 10 and 11, so the kept
         # edges alone say n = 10; the dropped pairs in graph.tsv still give
@@ -432,8 +467,6 @@ class TestCli:
         assert isinstance(res.exception, ConfigError)
 
     def test_exit_codes(self, tmp_path, monkeypatch):
-        import subprocess
-        import sys
         data = tmp_path / "nope.csv"
         # config error -> 2 (bad similarity choice is caught by click)
         proc = subprocess.run(
