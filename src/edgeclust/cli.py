@@ -251,8 +251,8 @@ def main():
     except SolverError as exc:
         click.echo(f"solver error: {exc}", err=True)
         sys.exit(4)
-    except (DataError, EdgeclustError, OSError) as exc:
-        click.echo(f"data error: {exc}", err=True)
+    except (DataError, EdgeclustError, OSError, MemoryError) as exc:
+        click.echo(f"data error: {str(exc) or 'out of memory'}", err=True)
         sys.exit(3)
 
 

@@ -138,6 +138,18 @@ def _violated_triangles(x: np.ndarray, tol: float) -> np.ndarray:
     return ids[np.argsort(-vals, kind="stable")]
 
 
+def _pivot(joined: np.ndarray, pick) -> np.ndarray:
+    """Cluster of each node, named by its pivot: while nodes are unassigned,
+    node pick(unassigned nodes, in index order) takes every unassigned node
+    joined to it (``joined`` is boolean with a true diagonal)."""
+    labels, rest = np.full(len(joined), -1), np.arange(len(joined))
+    while rest.size:
+        pivot = pick(rest)
+        labels[joined[pivot] & (labels < 0)] = pivot
+        rest = np.flatnonzero(labels < 0)
+    return labels
+
+
 def _pivot_moves(signed: np.ndarray) -> np.ndarray:
     """Cluster of each node, named by a node index, in a local optimum of
     the disagreement cost on the symmetric signed cost matrix (+cost on a
@@ -150,11 +162,7 @@ def _pivot_moves(signed: np.ndarray) -> np.ndarray:
     signed cost into each cluster, so moving v from k to k' lowers the cost
     by S[v, k'] - S[v, k] and updates two columns of S."""
     a = len(signed)
-    labels = np.full(a, -1)
-    for v in range(a):
-        if labels[v] < 0:
-            labels[(labels < 0) & (signed[v] > 0)] = v
-            labels[v] = v
+    labels = _pivot((signed > 0) | np.eye(a, dtype=bool), lambda rest: rest[0])
     s = np.zeros((a, a))
     np.add.at(s.T, labels, signed)  # column k sums signed over k's members
     nodes = np.arange(a)
@@ -240,17 +248,15 @@ def dual_bound(c: np.ndarray, const: float, rows: CsrRows,
     return float(const + np.minimum(reduced, 0.0).sum())
 
 
-def linprog(c: np.ndarray, A_ub: CsrRows, b_ub: np.ndarray,
-            model=None) -> LPResult:
+def linprog(c: np.ndarray, A_ub: CsrRows, b_ub: np.ndarray, model) -> LPResult:
     """Solve min c.x s.t. A_ub x <= b_ub, 0 <= x <= 1 by HiGHS's dual
-    simplex with presolve off. ``model`` is the HiGHS model (highs._Highs())
-    to solve in. An empty one, or None for a throwaway one, gets every row
-    and a cold solve. One that holds an earlier call's LP must hold c's
-    columns and the first rows of A_ub: it gets only the rows past its own,
-    and the dual simplex resumes from its last optimal basis with those rows
-    as basic slacks. Any other model is a model error. Returns success
-    (optimal), HiGHS's model status text as message and, on success, x,
-    slack = b_ub - A_ub x, nit (simplex iterations of this call) and
+    simplex in ``model``, a highs._Highs(). A model without columns first
+    gets c's columns, with output and presolve off; each call then appends
+    the rows of A_ub past the model's own and runs, so a later call resumes
+    from the last optimal basis with the new rows as basic slacks. A model
+    with other columns or more rows than A_ub is a model error. Returns
+    success (optimal), HiGHS's model status text as message and, on success,
+    x, slack = b_ub - A_ub x, nit (simplex iterations of this call) and
     HiGHS's row duals, each <= 0 on a row this minimization presses against.
     lp_relax calls it through this module global with A_ub by keyword, as
     perfbench's tracer and the tests expect. The LP is feasible (x = 0) and
@@ -258,37 +264,31 @@ def linprog(c: np.ndarray, A_ub: CsrRows, b_ub: np.ndarray,
     vertex tends to violate triangles not yet added, which costs another
     round, and HiGHS does not presolve a model that has a basis anyway."""
     m, n = A_ub.shape
-    h = highs._Highs() if model is None else model
-    m0, n0, nnz = h.getNumRow(), h.getNumCol(), int(A_ub.indptr[-1])
+    m0, nnz = model.getNumRow(), int(A_ub.indptr[-1])
+    error = highs.HighsStatus.kError
     # run() solves whatever a rejected model leaves behind, and may call it
     # optimal, so a rejected model never reaches run()
-    solved, status = False, highs.HighsModelStatus.kModelError
-    if not (m0 or n0):
-        h.setOptionValue("output_flag", False)
-        h.setOptionValue("presolve", "off")
-        fed = h.passModel(
-            n, m, nnz, int(highs.MatrixFormat.kRowwise),
-            int(highs.ObjSense.kMinimize), 0.0, c, np.zeros(n), np.ones(n),
-            np.full(m, -highs.kHighsInf), b_ub, A_ub.indptr, A_ub.indices,
-            A_ub.data, np.zeros(n, dtype=np.int32)) != highs.HighsStatus.kError
-    elif n0 == n and m0 <= m:
+    solved, status, fed = False, highs.HighsModelStatus.kModelError, True
+    if not model.getNumCol():
+        model.setOptionValue("output_flag", False)
+        model.setOptionValue("presolve", "off")
+        fed = model.addCols(n, c, np.zeros(n), np.ones(n), 0,
+                            np.zeros(n, dtype=np.int32), [], []) != error
+    if fed and model.getNumCol() == n and m0 <= m:
         start = int(A_ub.indptr[m0])
-        fed = h.addRows(
-            m - m0, np.full(m - m0, -highs.kHighsInf), b_ub[m0:], nnz - start,
-            A_ub.indptr[m0:-1] - start, A_ub.indices[start:],
-            A_ub.data[start:]) != highs.HighsStatus.kError
-    else:
-        fed = False
-    if fed:
-        solved = h.run() != highs.HighsStatus.kError
-        status = h.getModelStatus()
-    message = h.modelStatusToString(status)
+        if model.addRows(
+                m - m0, np.full(m - m0, -highs.kHighsInf), b_ub[m0:], nnz - start,
+                A_ub.indptr[m0:-1] - start, A_ub.indices[start:],
+                A_ub.data[start:]) != error:
+            solved = model.run() != error
+            status = model.getModelStatus()
+    message = model.modelStatusToString(status)
     if not solved or status != highs.HighsModelStatus.kOptimal:
         return LPResult(False, message)
-    solution = h.getSolution()
+    solution = model.getSolution()
     return LPResult(True, message, x=np.array(solution.col_value),
                     slack=b_ub - solution.row_value,
-                    nit=h.getInfo().simplex_iteration_count,
+                    nit=model.getInfo().simplex_iteration_count,
                     row_dual=np.array(solution.row_dual))
 
 
@@ -424,19 +424,11 @@ def round_regions(m: FractionalMetric, g: SignedWeightedGraph) -> Partition:
 def kwik_cluster(g: SignedWeightedGraph, rng: np.random.Generator) -> Partition:
     """Randomized pivot heuristic: each pivot absorbs every unassigned node
     joined to it by a positive kept edge."""
-    n = g.n
-    joined = _eye(n, dtype=bool)
+    joined = _eye(g.n, dtype=bool)
     i, j = g.pairs[g.signs > 0].T
     joined[i, j] = joined[j, i] = True
-    labels = np.zeros(n, dtype=int)
-    remaining = np.arange(n)
-    next_label = 0
-    while remaining.size:
-        pivot = remaining[rng.integers(remaining.size)]
-        next_label += 1
-        labels[joined[pivot] & (labels == 0)] = next_label
-        remaining = np.flatnonzero(labels == 0)
-    return validate_partition(labels)
+    return validate_partition(
+        _pivot(joined, lambda rest: rest[rng.integers(rest.size)]))
 
 
 def _set_partitions(n: int):

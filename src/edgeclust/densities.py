@@ -33,9 +33,10 @@ class GaussianDensity:
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
-        if (sigma.shape != mean.shape or not np.isfinite([mean, sigma]).all()
-                or np.any(sigma <= 0)):
-            raise ConfigError("mean and sigma must be finite, one shape, sigma > 0")
+        if (sigma.shape != mean.shape or mean.ndim != 1 or not mean.size
+                or not np.isfinite([mean, sigma]).all() or np.any(sigma <= 0)):
+            raise ConfigError("mean and sigma must be finite, nonempty vectors "
+                              "of one length, sigma > 0")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "sigma", sigma)
 
@@ -64,9 +65,10 @@ class UniformBoxDensity:
     def __post_init__(self):
         low = np.atleast_1d(np.asarray(self.low, dtype=float))
         high = np.atleast_1d(np.asarray(self.high, dtype=float))
-        if (high.shape != low.shape or not np.isfinite([low, high]).all()
-                or np.any(high <= low)):
-            raise ConfigError("box must have finite high > low in every dimension")
+        if (high.shape != low.shape or low.ndim != 1 or not low.size
+                or not np.isfinite([low, high]).all() or np.any(high <= low)):
+            raise ConfigError("box must be nonempty vectors low and high of one "
+                              "length, finite, with high > low in every dimension")
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
 

@@ -19,9 +19,10 @@ from .core import (SampleSet, co_membership, report_json, score,
 from .datagen import (SYNTHETIC_KINDS, EdgeLevelSpec, SyntheticSpec,
                       gen_edge_level, gen_synthetic, load_csv)
 from .density import DensityModel, build_signed_graph, kde_fit, log_density
-from .edge_features import (EdgeFeatureSet, PcaModel, all_pairs,
-                            build_edge_features, canonical_kind, pca_fit,
-                            pca_transform, sample_labeled_pairs, sample_ranks)
+from .edge_features import (SIMILARITY_KINDS, EdgeFeatureSet, PcaModel,
+                            all_pairs, build_edge_features, canonical_kind,
+                            pca_fit, pca_transform, sample_labeled_pairs,
+                            sample_ranks)
 from .analysis import log_likelihood
 from .densities import parse_density
 from .errors import ConfigError, DataError, EdgeclustError
@@ -173,13 +174,20 @@ def load_model(path) -> EdgeModel:
         raise DataError(f"{path}: not a model .npz file")
     with data:
         try:
+            similarity = str(data["similarity"])
+            if similarity not in SIMILARITY_KINDS:
+                raise DataError(f"{path}: unknown similarity {similarity!r}")
             pca = None
             if "pca_mean" in data:
                 pca = PcaModel(mean=data["pca_mean"],
                                components=data["pca_components"],
                                explained_variance=data["pca_variance"])
+                shape = (pca.mean.size, pca.explained_variance.size)
+                if pca.components.shape != shape:
+                    raise DataError(f"{path}: pca_components has shape "
+                                    f"{pca.components.shape}, not {shape}")
             return EdgeModel(
-                similarity=str(data["similarity"]),
+                similarity=similarity,
                 p1=DensityModel(training_points=data["p1_points"],
                                 bandwidths=data["p1_bw"]),
                 p0=DensityModel(training_points=data["p0_points"],

@@ -142,7 +142,6 @@ def test_criterion_4_exact_recovery():
             f"{hits}/20 seeds exact")
 
 
-@pytest.mark.slow
 def test_criterion_5_crossbones_regime():
     """Crossbones regime over 10 seeds, 5000 training pairs, 100 hold-out
     samples: structured median NMI >= 0.9 with k_predicted 2 while both
@@ -237,7 +236,6 @@ def test_criterion_8_feasibility_and_determinism():
             "10 metrics feasible, reports byte-identical")
 
 
-@pytest.mark.slow
 def test_criterion_9_scale_run():
     """Full LP pipeline on 100 hold-out nodes (4950 pair variables with lazy
     triangle constraints) completes within 5 minutes."""

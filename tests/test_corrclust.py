@@ -81,8 +81,8 @@ def round_lps(run, *args):
     tells a call whose model already held a previous call's rows."""
     calls, entry = [], corrclust.linprog
 
-    def recorded(c, A_ub, b_ub, model=None):
-        warm = model is not None and model.getNumRow() > 0
+    def recorded(c, A_ub, b_ub, model):
+        warm = model.getNumRow() > 0
         res = entry(c, A_ub=A_ub, b_ub=b_ub, model=model)
         calls.append((c, A_ub, b_ub, res._replace(x=res.x.copy()), warm))
         return res
@@ -103,7 +103,7 @@ def objective_tol(c, objective):
 
 
 def assert_entry_matches_scipy(calls):
-    """A cold entry call (no model, or an empty one) equals scipy's public
+    """A cold entry call (one on an empty model) equals scipy's public
     linprog, given the same rows as a csr_array, bounds, method and presolve
     setting, bitwise on x, slack, nit and the row duals. A warm call resumes
     from another basis, so it is held to scipy's cold solve of the same rows
@@ -168,6 +168,13 @@ def kwik_cluster_lists(g, rng):
                 labels[w] = next_label
         remaining = [v for v in remaining if labels[v] == 0]
     return validate_partition(labels)
+
+
+class FirstPick:
+    """An rng whose integers() always draws 0."""
+
+    def integers(self, high):
+        return 0
 
 
 def round_regions_two_pass(m, g):
@@ -378,7 +385,7 @@ class TestLpRelax:
     def test_bound_below_objective_raises(self, monkeypatch):
         # duals of 0 bound the unit triangle's LP by 0, below its optimum 1
         linprog = corrclust.linprog
-        monkeypatch.setattr(corrclust, "linprog", lambda c, A_ub, b_ub, model=None:
+        monkeypatch.setattr(corrclust, "linprog", lambda c, A_ub, b_ub, model:
                             linprog(c, A_ub=A_ub, b_ub=b_ub, model=model)
                             ._replace(row_dual=np.zeros(len(b_ub))))
         with pytest.raises(SolverError, match="bound 0.0 its row duals give"):
@@ -392,7 +399,7 @@ class TestLpRelax:
             lp_relax(unit_triangle())
 
     def test_failed_solve_raises(self, monkeypatch):
-        monkeypatch.setattr(corrclust, "linprog", lambda c, A_ub, b_ub, model=None:
+        monkeypatch.setattr(corrclust, "linprog", lambda c, A_ub, b_ub, model:
                             LPResult(success=False, message="Infeasible"))
         with pytest.raises(SolverError, match="LP solve failed: Infeasible"):
             lp_relax(unit_triangle())
@@ -401,7 +408,7 @@ class TestLpRelax:
         # a faulty solver that hands back the rowless optimum as optimal:
         # its violated triangle is already a row (a seed row here), so the
         # round must not pass it
-        def stuck_linprog(c, A_ub, b_ub, model=None):
+        def stuck_linprog(c, A_ub, b_ub, model):
             x = (c < 0).astype(float)
             return LPResult(success=True, message="Optimal", x=x,
                             slack=np.zeros(len(b_ub)), nit=0)
@@ -584,15 +591,17 @@ class TestHighsEntry:
     def test_infeasible_lp_reports_status(self):
         res = corrclust.linprog(np.array([1.0]),
                                 A_ub=sparse.csr_array(np.array([[1.0]])),
-                                b_ub=np.array([-1.0]))
+                                b_ub=np.array([-1.0]),
+                                model=corrclust.highs._Highs())
         assert not res.success
         assert res.message == "Infeasible"
 
     def test_rejected_model_reports_status(self):
-        # one row that names column 0 twice: passModel refuses the matrix
+        # one row that names column 0 twice: addRows refuses the row
         a_ub = CsrRows(np.array([1.0, -1.0]), np.array([0, 0]),
                        np.array([0, 2]), (1, 2))
-        res = corrclust.linprog(np.ones(2), A_ub=a_ub, b_ub=np.zeros(1))
+        res = corrclust.linprog(np.ones(2), A_ub=a_ub, b_ub=np.zeros(1),
+                                model=corrclust.highs._Highs())
         assert not res.success
         assert res.message == "Model error"
 
@@ -619,7 +628,8 @@ class TestWarmStart:
             dataset="crossbones", algo="lp", holdout=45, pairs=500,
             noise=0.03, seed=13))
         assert len(calls) == 3
-        cold = [corrclust.linprog(c, A_ub=rows, b_ub=b_ub).nit
+        cold = [corrclust.linprog(c, A_ub=rows, b_ub=b_ub,
+                                  model=corrclust.highs._Highs()).nit
                 for c, rows, b_ub, _, _ in calls]
         warm = [res.nit for *_, res, _ in calls]
         assert warm[0] == cold[0]
@@ -661,8 +671,9 @@ class TestWarmStart:
         warm = lp_relax(g).objective
         entry = corrclust.linprog
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(corrclust, "linprog", lambda c, A_ub, b_ub, model=None:
-                       entry(c, A_ub=A_ub, b_ub=b_ub))
+            mp.setattr(corrclust, "linprog", lambda c, A_ub, b_ub, model:
+                       entry(c, A_ub=A_ub, b_ub=b_ub,
+                             model=corrclust.highs._Highs()))
             cold = lp_relax(g).objective
         assert abs(warm - cold) <= objective_tol(g.costs, cold)
 
@@ -792,9 +803,12 @@ class TestKwikCluster:
                  for i, j in kept]
         g = make_graph(n, edges)
         seed = data.draw(st.integers(0, 2**32 - 1))
-        want = kwik_cluster_lists(g, np.random.default_rng(seed))
-        got = kwik_cluster(g, np.random.default_rng(seed))
-        assert np.array_equal(got.labels, want.labels)
+        # FirstPick makes the pivots go in index order, as in the pivot
+        # pass of _pivot_moves
+        for make_rng in (lambda: np.random.default_rng(seed), FirstPick):
+            want = kwik_cluster_lists(g, make_rng())
+            got = kwik_cluster(g, make_rng())
+            assert np.array_equal(got.labels, want.labels)
 
 
 class TestBruteForce:

@@ -51,6 +51,14 @@ UNIT = {"kind": "gaussian", "mean": [0.0], "sigma": [1.0]}
     {"kind": "mixture", "components": [UNIT, UNIT], "weights": [NAN, 1.0]},
     {"kind": "mixture", "components": [UNIT, UNIT], "weights": [INF, 1.0]},
     {"kind": "mixture", "components": [UNIT, UNIT], "weights": [0.0, 1.0]},
+    # each vector is 1-D and nonempty
+    dict(UNIT, mean=[], sigma=[]),
+    dict(UNIT, mean=[[0.0, 0.0], [1.0, 1.0]], sigma=[[1.0, 1.0], [1.0, 1.0]]),
+    dict(UNIT, mean=[[0.0, 0.0]], sigma=[[1.0, 1.0]]),
+    {"kind": "uniform", "low": [], "high": []},
+    {"kind": "uniform", "low": [[0.0, 0.0], [1.0, 1.0]],
+     "high": [[2.0, 2.0], [2.0, 2.0]]},
+    {"kind": "uniform", "low": [[0.0, 0.0]], "high": [[1.0, 1.0]]},
 ])
 def test_parse_density_rejects_bad_parameters(spec):
     with pytest.raises(ConfigError):

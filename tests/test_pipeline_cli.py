@@ -31,6 +31,14 @@ DISJOINT_SPEC = {
 }
 
 
+# the edgeclust entry point in a process limited to 2 GB of address space
+MAIN_IN_2GB = ("import resource, sys\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+               "from edgeclust.cli import main\n"
+               "sys.argv = ['edgeclust', *sys.argv[1:]]\n"
+               "main()\n")
+
+
 def exit_code(monkeypatch, args):
     """Exit status of the edgeclust entry point run in-process."""
     monkeypatch.setattr(sys, "argv", ["edgeclust", *args])
@@ -308,11 +316,6 @@ class TestCli:
         a message naming n, in a process limited to 2 GB of address space:
         a graph file naming node 10^9, an --n of 10^9 or beyond int64, and
         certify on 20,000 nodes (a 3.2 GB metric)."""
-        script = ("import resource, sys\n"
-                  "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-                  "from edgeclust.cli import main\n"
-                  "sys.argv = ['edgeclust', *sys.argv[1:]]\n"
-                  "main()\n")
         far = tmp_path / "far.tsv"
         far.write_text("0\t1000000000\t+1\t1\n0\t1\t-1\t1\n")
         one = tmp_path / "one.tsv"
@@ -330,11 +333,24 @@ class TestCli:
                    "--n", "20000"], "20000")]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         for args, n in runs:
-            proc = subprocess.run([sys.executable, "-c", script, *args],
+            proc = subprocess.run([sys.executable, "-c", MAIN_IN_2GB, *args],
                                   env=env, capture_output=True, text=True)
             assert proc.returncode == 3, (args, proc.stderr)
             assert f"the graph has {n} nodes" in proc.stderr, args
             assert "Traceback" not in proc.stderr, args
+
+    def test_out_of_memory_is_data_error(self):
+        """A run whose arrays do not fit exits 3 without a traceback, in a
+        process limited to 2 GB of address space: 100,000 hold-out samples
+        make ~5e9 pairs."""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", MAIN_IN_2GB, "pipeline", "--kind", "blobs",
+             "--holdout", "100000", "--seed", "1"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("data error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_graph_file_keeps_node_count(self, tmp_path):
         # at sparsify 2 no kept edge reaches nodes 10 and 11, so the kept
@@ -539,11 +555,18 @@ class TestCli:
                             "sigma": [float("nan"), 1.0]},
                      "p0": {"kind": "gaussian", "mean": [2.0, 2.0],
                             "sigma": [1.0, 1.0]}}
+        # each density vector is 1-D and nonempty
+        not_vectors = [{"kind": "gaussian", "mean": [], "sigma": []},
+                       {"kind": "gaussian", "mean": [[0, 0], [1, 1]],
+                        "sigma": [[1, 1], [1, 1]]},
+                       {"kind": "gaussian", "mean": [[0, 0]], "sigma": [[1, 1]]}]
         for text in ("{", "[1, 2]",
                      json.dumps({"sizes": [4, 4], "p0": DISJOINT_SPEC["p0"]}),
                      json.dumps(dict(DISJOINT_SPEC, p1=gauss_no_sigma)),
                      json.dumps(dict(DISJOINT_SPEC, sizes="ab")), "null", "{}",
                      json.dumps(nan_sigma),
+                     *(json.dumps(dict(DISJOINT_SPEC, p1=bad, p0=bad))
+                       for bad in not_vectors),
                      # sizes int() would coerce to 2, 1 and 4
                      *(json.dumps(dict(DISJOINT_SPEC, sizes=[bad, 3]))
                        for bad in (2.7, True, "4"))):
@@ -556,10 +579,18 @@ class TestCli:
         # so is a model with a non-finite bandwidth, which would otherwise
         # drop every pair and write an empty graph
         nan_bw = tmp_path / "nan_bw.npz"
+        # and so are a PCA whose components do not match its mean and
+        # variance, and a similarity that fit never writes
+        bad_pca = tmp_path / "bad_pca.npz"
+        bad_similarity = tmp_path / "bad_similarity.npz"
         with np.load(model) as fitted:
             np.savez(nan_bw, **dict(fitted, p1_bw=np.full_like(fitted["p1_bw"],
                                                                np.nan)))
-        for bad_model in (data, broken, nan_bw):
+            np.savez(bad_pca, **dict(fitted, pca_mean=np.zeros(2),
+                                     pca_components=np.eye(3, 2),
+                                     pca_variance=np.ones(2)))
+            np.savez(bad_similarity, **dict(fitted, similarity=np.array("foo")))
+        for bad_model in (data, broken, nan_bw, bad_pca, bad_similarity):
             assert exit_code(monkeypatch, [
                 "graph", "--data", str(data), "--model", str(bad_model),
                 "--out", str(tmp_path / "g.tsv")]) == 3
