@@ -248,15 +248,20 @@ def dual_bound(c: np.ndarray, const: float, rows: CsrRows,
     return float(const + np.minimum(reduced, 0.0).sum())
 
 
-def linprog(c: np.ndarray, A_ub: CsrRows, b_ub: np.ndarray, model) -> LPResult:
-    """Solve min c.x s.t. A_ub x <= b_ub, 0 <= x <= 1 by HiGHS's dual
-    simplex in ``model``, a highs._Highs(). A model without columns first
-    gets c's columns, with output and presolve off; each call then appends
-    the rows of A_ub past the model's own and runs, so a later call resumes
-    from the last optimal basis with the new rows as basic slacks. A model
-    with other columns or more rows than A_ub is a model error. Returns
-    success (optimal), HiGHS's model status text as message and, on success,
-    x, slack = b_ub - A_ub x, nit (simplex iterations of this call) and
+def linprog(c: np.ndarray, A_ub: CsrRows, b_ub: np.ndarray, model,
+            vertex: np.ndarray = None) -> LPResult:
+    """Solve min c.x s.t. A_ub x <= b_ub, 0 <= x <= 1 by HiGHS's simplex in
+    ``model``, a highs._Highs(). A model without columns first gets c's
+    columns, with output and presolve off; each call then appends the rows
+    of A_ub past the model's own and runs the dual simplex, so a later call
+    resumes from the last optimal basis with the new rows as basic slacks.
+    A call that loads an empty model's rows and is given a 0/1 ``vertex``
+    starts from it instead: each column nonbasic at the bound the vertex
+    puts it at, each row slack basic, solved by the primal simplex; the
+    model goes back to the dual simplex for later calls. A model with other
+    columns or more rows than A_ub is a model error. Returns success
+    (optimal), HiGHS's model status text as message and, on success, x,
+    slack = b_ub - A_ub x, nit (simplex iterations of this call) and
     HiGHS's row duals, each <= 0 on a row this minimization presses against.
     lp_relax calls it through this module global with A_ub by keyword, as
     perfbench's tracer and the tests expect. The LP is feasible (x = 0) and
@@ -276,12 +281,25 @@ def linprog(c: np.ndarray, A_ub: CsrRows, b_ub: np.ndarray, model) -> LPResult:
                             np.zeros(n, dtype=np.int32), [], []) != error
     if fed and model.getNumCol() == n and m0 <= m:
         start = int(A_ub.indptr[m0])
-        if model.addRows(
-                m - m0, np.full(m - m0, -highs.kHighsInf), b_ub[m0:], nnz - start,
-                A_ub.indptr[m0:-1] - start, A_ub.indices[start:],
-                A_ub.data[start:]) != error:
+        fed = model.addRows(
+            m - m0, np.full(m - m0, -highs.kHighsInf), b_ub[m0:], nnz - start,
+            A_ub.indptr[m0:-1] - start, A_ub.indices[start:],
+            A_ub.data[start:]) != error
+        primal = fed and vertex is not None and not m0
+        if primal:
+            kind = highs.HighsBasisStatus
+            basis = highs.HighsBasis()
+            basis.col_status = np.array([kind.kLower, kind.kUpper], dtype=object)[
+                vertex.astype(np.intp)].tolist()
+            basis.row_status = [kind.kBasic] * m
+            basis.valid = True
+            fed = model.setBasis(basis) != error
+            model.setOptionValue("simplex_strategy", 4)  # primal
+        if fed:
             solved = model.run() != error
             status = model.getModelStatus()
+        if primal:
+            model.setOptionValue("simplex_strategy", 1)  # dual, HiGHS's default
     message = model.modelStatusToString(status)
     if not solved or status != highs.HighsModelStatus.kOptimal:
         return LPResult(False, message)
@@ -295,20 +313,21 @@ def linprog(c: np.ndarray, A_ub: CsrRows, b_ub: np.ndarray, model) -> LPResult:
 def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     """Solve the metric LP relaxation with lazy triangle-constraint
     generation, starting from a clustering P of the active nodes
-    (_pivot_moves): x is 1 on each kept edge P cuts and 0 on every other
-    pair. The first of at most MAX_ROUNDS rounds adds a row for every
-    triangle inequality that start violates and P's certificate rows
-    (_seed_rows); each later round adds a row for every triangle inequality
-    the last optimum violates. Every round solves with all rows so far in
-    one HiGHS model kept for the call: the first solve is cold, and each
-    later one appends the new rows and resumes from the last optimal basis.
-    A round that adds none returns the last optimum, whose objective the
-    row duals of its solve must bound from below (dual_bound) to within
-    _BOUND_GAP. When P agrees with every kept edge the start is the rowless
-    optimum (1 on a negative edge, 0 elsewhere), so one that violates no
-    triangle returns without a solve. Nodes off every kept edge sit at
-    distance 1, so a graph without kept edges has no variables and gets
-    1 - I with objective 0."""
+    (_pivot_moves) at P's metric: x is 1 on every pair P cuts, kept or not,
+    and 0 on every other pair. That x is a metric, so the first of at most
+    MAX_ROUNDS rounds adds only P's certificate rows (_seed_rows); each later
+    round adds a row for every triangle inequality the last optimum
+    violates. Every round solves with all rows so far in one HiGHS model kept
+    for the call: each later solve appends the new rows and resumes from the
+    last optimal basis. The first solve is HiGHS's cold dual simplex, except
+    where P cuts a zero-cost pair, which that slack start leaves at 0: there
+    it starts from P's metric as a vertex (linprog's ``vertex``). A round
+    that adds none returns the last optimum, whose objective the row duals
+    of its solve must bound from below (dual_bound) to within _BOUND_GAP.
+    When P agrees with every kept edge, each pair with a cost sits at the
+    bound its cost favours, so P's metric is an optimum and returns without
+    a solve. Nodes off every kept edge sit at distance 1, so a graph without
+    kept edges has no variables and gets 1 - I with objective 0."""
     metric = _eye(g.n)
     np.subtract(1.0, metric, out=metric)
     nodes = np.unique(g.pairs)
@@ -329,20 +348,19 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     signed[li, lj] = signed[lj, li] = c[var[li, lj]]
 
     labels = _pivot_moves(signed)
-    x = np.zeros(nvars)
-    x[var[li, lj]] = labels[li] != labels[lj]
-    seed = _seed_rows(signed, labels)
-    # the start is an optimum only where it is the rowless one
-    optimal = np.array_equal(x, c < 0)
+    x = (labels[iu[0]] != labels[iu[1]]).astype(float)  # P's metric
+    flat = _seed_rows(signed, labels)  # a metric violates no triangle
+    # the start is an optimum where each pair with a cost sits at the bound
+    # that cost favours; the dual simplex starts every pair at 0, so a start
+    # that cuts a zero-cost pair goes to HiGHS as the vertex to start from
+    paid = c != 0
+    optimal = np.array_equal(x[paid], c[paid] < 0)
+    vertex = x if x[~paid].any() else None
+    xm = np.where(var >= 0, x[var], 0.0)
     added = np.empty(0, dtype=np.intp)  # flat triangle ids, one row each
     rows, duals = _triangle_rows(added, var, nvars), np.empty(0)
     model = highs._Highs()
     for _ in range(MAX_ROUNDS):
-        xm = np.where(var >= 0, x[var], 0.0)
-        flat = _violated_triangles(xm, TRIANGLE_TOL)
-        # HiGHS meets its rows to 1e-7, so only a faulty optimum gets here
-        if np.isin(flat, added, assume_unique=True).any():
-            raise SolverError("the LP optimum violates one of its triangle rows")
         if optimal and not flat.size:
             metric[np.ix_(nodes, nodes)] = xm
             # cost times x's distance from the value the edge's sign wants:
@@ -355,16 +373,20 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
                 raise SolverError(f"the LP objective {objective} exceeds the "
                                   f"bound {bound} its row duals give")
             return FractionalMetric(x=metric, objective=objective)
-        if seed.size:  # the first round's rows go in flat-id order
-            flat, seed = _unique(np.append(flat, seed)), seed[:0]
         added, optimal = np.concatenate([added, flat]), True
         rows = _triangle_rows(added, var, nvars)
-        res = linprog(c, A_ub=rows, b_ub=np.zeros(added.size), model=model)
+        res = linprog(c, A_ub=rows, b_ub=np.zeros(added.size), model=model,
+                      vertex=vertex)
         if not res.success:
             raise SolverError(f"LP solve failed: {res.message}")
-        x, duals = res.x, res.row_dual
+        x, duals, vertex = res.x, res.row_dual, None
         x[x < _SNAP] = 0.0
         x[x > 1.0 - _SNAP] = 1.0
+        xm = np.where(var >= 0, x[var], 0.0)
+        flat = _violated_triangles(xm, TRIANGLE_TOL)
+        # HiGHS meets its rows to 1e-7, so only a faulty optimum gets here
+        if np.isin(flat, added, assume_unique=True).any():
+            raise SolverError("the LP optimum violates one of its triangle rows")
     raise SolverError("lazy triangle generation exceeded its round budget")
 
 

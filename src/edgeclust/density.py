@@ -167,6 +167,13 @@ def log_density(p, features: EdgeFeatureSet) -> np.ndarray:
     return values
 
 
+def check_sparsify(threshold: float) -> None:
+    """A sparsification threshold is finite and >= 0, else a ConfigError:
+    an infinite one would drop every pair."""
+    if not 0.0 <= threshold < np.inf:
+        raise ConfigError("sparsify threshold must be finite and >= 0")
+
+
 def build_signed_graph(features: EdgeFeatureSet, p1, p0,
                        sparsify_below: float = 0.0,
                        n: int = None) -> SignedWeightedGraph:
@@ -174,8 +181,7 @@ def build_signed_graph(features: EdgeFeatureSet, p1, p0,
     to +-50, and weight it by the absolute log-odds; pairs at or below the
     sparsification threshold (including exact ties P1 = P0) are dropped. A
     NaN log-odds is a DataError. P1 and P0 are read with log_density."""
-    if not sparsify_below >= 0:
-        raise ConfigError("sparsify threshold must be >= 0")
+    check_sparsify(sparsify_below)
     r = log_density(p1, features) - log_density(p0, features)
     nan = np.flatnonzero(np.isnan(r))
     if len(nan):

@@ -18,7 +18,8 @@ from .core import (SampleSet, co_membership, report_json, score,
                    validate_partition)
 from .datagen import (SYNTHETIC_KINDS, EdgeLevelSpec, SyntheticSpec,
                       gen_edge_level, gen_synthetic, load_csv)
-from .density import DensityModel, build_signed_graph, kde_fit, log_density
+from .density import (DensityModel, build_signed_graph, check_sparsify,
+                      kde_fit, log_density)
 from .edge_features import (SIMILARITY_KINDS, EdgeFeatureSet, PcaModel,
                             all_pairs, build_edge_features, canonical_kind,
                             pca_fit, pca_transform, sample_labeled_pairs,
@@ -56,8 +57,7 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}")
-        if not self.sparsify >= 0:
-            raise ConfigError("sparsify threshold must be >= 0")
+        check_sparsify(self.sparsify)
         if self.pca is not None and not (0.0 < self.pca <= 1.0):
             raise ConfigError("pca variance target must be in (0, 1]")
         if self.pairs < 1:

@@ -78,12 +78,13 @@ def full_lp_objective(g):
 def round_lps(run, *args):
     """(c, A_ub, b_ub, result, warm) of every corrclust.linprog call that
     run(*args) makes, with x copied before lp_relax snaps it in place; warm
-    tells a call whose model already held a previous call's rows."""
+    tells a call that does not start from HiGHS's slack basis: its model
+    already held a previous call's rows, or it was given a vertex."""
     calls, entry = [], corrclust.linprog
 
-    def recorded(c, A_ub, b_ub, model):
-        warm = model.getNumRow() > 0
-        res = entry(c, A_ub=A_ub, b_ub=b_ub, model=model)
+    def recorded(c, A_ub, b_ub, model, vertex=None):
+        warm = model.getNumRow() > 0 or vertex is not None
+        res = entry(c, A_ub=A_ub, b_ub=b_ub, model=model, vertex=vertex)
         calls.append((c, A_ub, b_ub, res._replace(x=res.x.copy()), warm))
         return res
 
@@ -385,8 +386,10 @@ class TestLpRelax:
     def test_bound_below_objective_raises(self, monkeypatch):
         # duals of 0 bound the unit triangle's LP by 0, below its optimum 1
         linprog = corrclust.linprog
-        monkeypatch.setattr(corrclust, "linprog", lambda c, A_ub, b_ub, model:
-                            linprog(c, A_ub=A_ub, b_ub=b_ub, model=model)
+        monkeypatch.setattr(corrclust, "linprog",
+                            lambda c, A_ub, b_ub, model, vertex=None:
+                            linprog(c, A_ub=A_ub, b_ub=b_ub, model=model,
+                                    vertex=vertex)
                             ._replace(row_dual=np.zeros(len(b_ub))))
         with pytest.raises(SolverError, match="bound 0.0 its row duals give"):
             lp_relax(unit_triangle())
@@ -399,7 +402,8 @@ class TestLpRelax:
             lp_relax(unit_triangle())
 
     def test_failed_solve_raises(self, monkeypatch):
-        monkeypatch.setattr(corrclust, "linprog", lambda c, A_ub, b_ub, model:
+        monkeypatch.setattr(corrclust, "linprog",
+                            lambda c, A_ub, b_ub, model, vertex=None:
                             LPResult(success=False, message="Infeasible"))
         with pytest.raises(SolverError, match="LP solve failed: Infeasible"):
             lp_relax(unit_triangle())
@@ -408,7 +412,7 @@ class TestLpRelax:
         # a faulty solver that hands back the rowless optimum as optimal:
         # its violated triangle is already a row (a seed row here), so the
         # round must not pass it
-        def stuck_linprog(c, A_ub, b_ub, model):
+        def stuck_linprog(c, A_ub, b_ub, model, vertex=None):
             x = (c < 0).astype(float)
             return LPResult(success=True, message="Optimal", x=x,
                             slack=np.zeros(len(b_ub)), nit=0)
@@ -450,18 +454,38 @@ class TestLpRelax:
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_one_solve_per_sparse_edge_level_instance(self, monkeypatch, seed):
         # the first vertex HiGHS returns without presolve violates none of
-        # the triangles left out of its rows
-        solves = []
-        linprog = corrclust.linprog
+        # the triangles left out of its rows; those rows are the start
+        # partition's seed rows, in flat-id order, and the optimum is that
+        # partition's own metric
+        solves, relaxed = [], []
+        linprog, relax = corrclust.linprog, corrclust.lp_relax
 
         def counted_linprog(*args, **kwargs):
             solves.append(kwargs["A_ub"])
             return linprog(*args, **kwargs)
 
+        def kept_relax(g):
+            relaxed.append((g, relax(g)))
+            return relaxed[-1][1]
+
         monkeypatch.setattr(corrclust, "linprog", counted_linprog)
+        monkeypatch.setattr(corrclust, "lp_relax", kept_relax)
         run_pipeline(RunConfig(dataset="edge_level", seed=seed, algo="lp",
                                sparsify=0.5, edge_spec=EDGE_SPEC))
-        assert len(solves) == 1
+        assert len(solves) == 1 and len(relaxed) == 1
+        g, m = relaxed[0]
+        active = np.unique(g.pairs)
+        a = active.size
+        signed = signed_matrix(g)[np.ix_(active, active)]
+        labels = _pivot_moves(signed)
+        var = np.zeros((a, a), dtype=int)
+        var[np.triu_indices(a, k=1)] = np.arange(a * (a - 1) // 2)
+        var = var + var.T
+        i, j, l = np.unravel_index(_seed_rows(signed, labels), (a, a, a))
+        assert np.array_equal(solves[0].indices.reshape(-1, 3),
+                              np.stack([var[i, j], var[i, l], var[l, j]], axis=1))
+        assert np.array_equal(m.x[np.ix_(active, active)],
+                              (labels[:, None] != labels).astype(float))
 
     @given(small_signed_graphs(min_n=3, max_n=8))
     @settings(max_examples=60, deadline=None)
@@ -588,6 +612,42 @@ class TestHighsEntry:
         assert [warm for *_, warm in calls] == [False, True, True]
         assert_entry_matches_scipy(calls)
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_optimal_vertex_is_returned_as_is(self, data):
+        # every triangle row, and a clustering that agrees with every kept
+        # edge: its metric is an optimum (cost 0), and a solve started there
+        # hands it back bit for bit
+        n = data.draw(st.integers(3, 8))
+        labels = np.array(data.draw(st.lists(st.integers(1, 3), min_size=n,
+                                             max_size=n)))
+        kept = data.draw(st.lists(st.sampled_from(
+            [(i, j) for i in range(n) for j in range(i + 1, n)]), unique=True))
+        g = make_graph(n, [(i, j, 1 if labels[i] == labels[j] else -1,
+                            data.draw(st.floats(1e-6, 10.0))) for i, j in kept])
+        c, _, rows = full_lp(g)
+        iu = np.triu_indices(n, k=1)
+        vertex = (labels[iu[0]] != labels[iu[1]]).astype(float)
+        res = corrclust.linprog(c, A_ub=rows, b_ub=np.zeros(rows.shape[0]),
+                                model=corrclust.highs._Highs(), vertex=vertex)
+        assert res.success
+        assert np.array_equal(res.x, vertex)
+
+    @given(small_signed_graphs(min_n=3, max_n=8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_vertex_start_reaches_scipy_optimum(self, g, data):
+        # the metric of any clustering is a vertex of the LP with every
+        # triangle row; a solve started there ends at scipy's optimum
+        labels = np.array(data.draw(st.lists(st.integers(1, 4), min_size=g.n,
+                                             max_size=g.n)))
+        c, _, rows = full_lp(g)
+        iu = np.triu_indices(g.n, k=1)
+        vertex = (labels[iu[0]] != labels[iu[1]]).astype(float)
+        b_ub = np.zeros(rows.shape[0])
+        res = corrclust.linprog(c, A_ub=rows, b_ub=b_ub,
+                                model=corrclust.highs._Highs(), vertex=vertex)
+        assert_entry_matches_scipy([(c, rows, b_ub, res, True)])
+
     def test_infeasible_lp_reports_status(self):
         res = corrclust.linprog(np.array([1.0]),
                                 A_ub=sparse.csr_array(np.array([[1.0]])),
@@ -671,9 +731,10 @@ class TestWarmStart:
         warm = lp_relax(g).objective
         entry = corrclust.linprog
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(corrclust, "linprog", lambda c, A_ub, b_ub, model:
+            mp.setattr(corrclust, "linprog",
+                       lambda c, A_ub, b_ub, model, vertex=None:
                        entry(c, A_ub=A_ub, b_ub=b_ub,
-                             model=corrclust.highs._Highs()))
+                             model=corrclust.highs._Highs(), vertex=vertex))
             cold = lp_relax(g).objective
         assert abs(warm - cold) <= objective_tol(g.costs, cold)
 

@@ -434,13 +434,15 @@ class TestBuildSignedGraph:
         assert len(g.dropped) == 1
         assert g.costs[0] == pytest.approx(2.3)
 
-    def test_infinite_threshold_drops_everything(self):
+    def test_threshold_must_be_finite(self):
+        # an infinite threshold would drop every pair, so it is a config
+        # error, as a negative or NaN one is
         p1 = StepDensity([0, 2], [-1.0])
         p0 = StepDensity([0, 2], [-2.0])
-        g = build_signed_graph(self._features([0.5, 1.5]), p1, p0,
-                               sparsify_below=math.inf)
-        assert len(g.pairs) == 0
-        assert len(g.dropped) == 2
+        for threshold in (math.inf, math.nan, -1.0):
+            with pytest.raises(ConfigError, match="finite and >= 0"):
+                build_signed_graph(self._features([0.5, 1.5]), p1, p0,
+                                   sparsify_below=threshold)
 
     def test_partitions_the_pair_set(self, rng):
         p1 = StepDensity([-10, 0, 10], [-1.0, -2.0])

@@ -3,12 +3,30 @@ compiled HiGHS module from its file. Each check runs in a fresh interpreter,
 because the test process has imported scipy already."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CORE = "scipy.optimize._highspy._core"
+
+# every HiGHS name corrclust uses, under the module (None) or the class that
+# carries it; a scipy whose HiGHS lacks one fails here by name rather than
+# with an AttributeError inside a solve
+HIGHS_NAMES = {
+    None: ("_Highs", "HighsStatus", "HighsModelStatus", "HighsBasis",
+           "HighsBasisStatus", "HighsSolution", "HighsInfo", "kHighsInf"),
+    "_Highs": ("getNumRow", "getNumCol", "setOptionValue", "addCols",
+               "addRows", "setBasis", "run", "getModelStatus",
+               "modelStatusToString", "getSolution", "getInfo"),
+    "HighsStatus": ("kError",),
+    "HighsModelStatus": ("kModelError", "kOptimal"),
+    "HighsBasis": ("col_status", "row_status", "valid"),
+    "HighsBasisStatus": ("kLower", "kUpper", "kBasic"),
+    "HighsSolution": ("col_value", "row_value", "row_dual"),
+    "HighsInfo": ("simplex_iteration_count",),
+}
 
 GUARD = f"""
 import json, sys
@@ -52,6 +70,21 @@ def test_no_scipy_package_is_imported():
     # a later import of scipy.optimize uses the module corrclust loaded
     assert got["shared"]
     assert got["scipy_solved"] and got["scipy_objective"] == 1.0
+
+
+def test_highs_has_every_name_corrclust_calls():
+    from edgeclust import corrclust
+    missing = [f"{owner}.{name}" if owner else name
+               for owner, names in HIGHS_NAMES.items() for name in names
+               if not hasattr(getattr(corrclust.highs, owner) if owner
+                              else corrclust.highs, name)]
+    assert missing == []
+    # the list covers every name corrclust reads off the module or a model
+    source = Path(corrclust.__file__).read_text()
+    used = set(re.findall(r"\b(highs|model)\.(\w+)", source))
+    listed = {("highs", n) for n in HIGHS_NAMES[None]} | {
+        ("model", n) for n in HIGHS_NAMES["_Highs"]}
+    assert used <= listed, used - listed
 
 
 def test_missing_extension_names_the_path(tmp_path):

@@ -508,8 +508,9 @@ class TestCli:
                       "--out", str(model)]):
             res = runner.invoke(cli, step)
             assert res.exit_code == 0, res.output
-        # and so is a NaN one, which would otherwise drop every pair
-        for threshold in ("-1", "nan"):
+        # and so are a NaN and an infinite one, which would otherwise drop
+        # every pair
+        for threshold in ("-1", "nan", "inf"):
             assert exit_code(monkeypatch, [
                 "graph", "--data", str(data), "--model", str(model),
                 "--sparsify", threshold, "--out", str(tmp_path / "g.tsv")]) == 2
