@@ -321,7 +321,9 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     for the call: each later solve appends the new rows and resumes from the
     last optimal basis. The first solve is HiGHS's cold dual simplex, except
     where P cuts a zero-cost pair, which that slack start leaves at 0: there
-    it starts from P's metric as a vertex (linprog's ``vertex``). A round
+    it starts from P's metric as a vertex (linprog's ``vertex``). An optimum
+    equal to P's metric ends its round without a separation pass: a 0/1 cut
+    metric violates no triangle, so that round adds no row. A round
     that adds none returns the last optimum, whose objective the row duals
     of its solve must bound from below (dual_bound) to within _BOUND_GAP.
     When P agrees with every kept edge, each pair with a cost sits at the
@@ -348,7 +350,7 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     signed[li, lj] = signed[lj, li] = c[var[li, lj]]
 
     labels = _pivot_moves(signed)
-    x = (labels[iu[0]] != labels[iu[1]]).astype(float)  # P's metric
+    start = x = (labels[iu[0]] != labels[iu[1]]).astype(float)  # P's metric
     flat = _seed_rows(signed, labels)  # a metric violates no triangle
     # the start is an optimum where each pair with a cost sits at the bound
     # that cost favours; the dual simplex starts every pair at 0, so a start
@@ -383,7 +385,9 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
         x[x < _SNAP] = 0.0
         x[x > 1.0 - _SNAP] = 1.0
         xm = np.where(var >= 0, x[var], 0.0)
-        flat = _violated_triangles(xm, TRIANGLE_TOL)
+        # P's metric is a 0/1 cut metric, which violates no triangle
+        flat = (np.empty(0, dtype=np.intp) if np.array_equal(x, start)
+                else _violated_triangles(xm, TRIANGLE_TOL))
         # HiGHS meets its rows to 1e-7, so only a faulty optimum gets here
         if np.isin(flat, added, assume_unique=True).any():
             raise SolverError("the LP optimum violates one of its triangle rows")

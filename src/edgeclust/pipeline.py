@@ -304,5 +304,5 @@ def run_pipeline(cfg: RunConfig) -> ResultsReport:
         likelihood=likelihood,
         timing={k: float(v) for k, v in timing.items()},
     )
-    report.to_json()  # DataError on a non-finite value
+    report_json(vars(report))  # DataError on a non-finite value
     return report

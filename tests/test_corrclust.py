@@ -456,9 +456,10 @@ class TestLpRelax:
         # the first vertex HiGHS returns without presolve violates none of
         # the triangles left out of its rows; those rows are the start
         # partition's seed rows, in flat-id order, and the optimum is that
-        # partition's own metric
-        solves, relaxed = [], []
+        # partition's own metric, which needs no separation pass
+        solves, relaxed, separated = [], [], []
         linprog, relax = corrclust.linprog, corrclust.lp_relax
+        violated = corrclust._violated_triangles
 
         def counted_linprog(*args, **kwargs):
             solves.append(kwargs["A_ub"])
@@ -468,11 +469,16 @@ class TestLpRelax:
             relaxed.append((g, relax(g)))
             return relaxed[-1][1]
 
+        def counted_violated(*args):
+            separated.append(args)
+            return violated(*args)
+
         monkeypatch.setattr(corrclust, "linprog", counted_linprog)
         monkeypatch.setattr(corrclust, "lp_relax", kept_relax)
+        monkeypatch.setattr(corrclust, "_violated_triangles", counted_violated)
         run_pipeline(RunConfig(dataset="edge_level", seed=seed, algo="lp",
                                sparsify=0.5, edge_spec=EDGE_SPEC))
-        assert len(solves) == 1 and len(relaxed) == 1
+        assert len(solves) == 1 and len(relaxed) == 1 and not separated
         g, m = relaxed[0]
         active = np.unique(g.pairs)
         a = active.size
@@ -486,6 +492,41 @@ class TestLpRelax:
                               np.stack([var[i, j], var[i, l], var[l, j]], axis=1))
         assert np.array_equal(m.x[np.ix_(active, active)],
                               (labels[:, None] != labels).astype(float))
+
+    def test_optimum_at_start_skips_separation(self, monkeypatch):
+        # a dense crossbones LP whose last solve returns the start
+        # partition's metric: every earlier solve is followed by a
+        # separation pass, the last by none, and the metric it returns
+        # still violates no triangle
+        events, relaxed = [], []
+        linprog, relax = corrclust.linprog, corrclust.lp_relax
+        violated = corrclust._violated_triangles
+
+        def counted_linprog(*args, **kwargs):
+            events.append("solve")
+            return linprog(*args, **kwargs)
+
+        def counted_violated(*args):
+            events.append("separate")
+            return violated(*args)
+
+        def kept_relax(g):
+            relaxed.append((g, relax(g)))
+            return relaxed[-1][1]
+
+        monkeypatch.setattr(corrclust, "linprog", counted_linprog)
+        monkeypatch.setattr(corrclust, "_violated_triangles", counted_violated)
+        monkeypatch.setattr(corrclust, "lp_relax", kept_relax)
+        run_pipeline(RunConfig(dataset="crossbones", algo="lp", holdout=45,
+                               pairs=500, noise=0.03, seed=13))
+        assert len(relaxed) == 1
+        assert events == ["solve", "separate"] * 2 + ["solve"]
+        g, m = relaxed[0]
+        active = np.unique(g.pairs)
+        labels = _pivot_moves(signed_matrix(g)[np.ix_(active, active)])
+        assert np.array_equal(m.x[np.ix_(active, active)],
+                              (labels[:, None] != labels).astype(float))
+        assert m.max_triangle_violation() <= TRIANGLE_TOL
 
     @given(small_signed_graphs(min_n=3, max_n=8))
     @settings(max_examples=60, deadline=None)

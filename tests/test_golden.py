@@ -47,6 +47,9 @@ CONFIGS = {
                                      holdout=24, train_pool=80, pairs=600),
     "edge_level_oracle": dict(dataset="edge_level", seed=4, algo="oracle",
                               edge_spec=EDGE_SPEC),
+    "edge_level_lp_sparsify": dict(dataset="edge_level", seed=6, algo="lp",
+                                   sparsify=0.5,
+                                   edge_spec=dict(EDGE_SPEC, sizes=[6, 6, 6])),
     "csv_lp": dict(dataset="data.csv", seed=5, holdout=20, train_pool=40,
                    pairs=300),
 }

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import EDGE_SPEC
-from edgeclust import corrclust
+from edgeclust import corrclust, pipeline
+from edgeclust.analysis import LikelihoodReport
 from edgeclust.cli import _read_labels, cli, main
 from edgeclust.core import SampleSet, report_json, validate_partition, write_lines
 from edgeclust.density import DensityModel, read_graph_tsv
@@ -96,6 +97,22 @@ class TestReportJson:
             rep.to_json(include_timing=False)
         with pytest.raises(DataError):
             report_json({"nested": [[1.0, value]]})
+
+    def test_pipeline_rejects_non_finite_report(self, monkeypatch):
+        # a likelihood term that overflows reaches the report, which
+        # run_pipeline checks before returning it
+        monkeypatch.setattr(pipeline, "log_likelihood",
+                            lambda *args: LikelihoodReport(
+                                log_likelihood_theta=-1.0,
+                                log_likelihood_g0=-1.0,
+                                disagreement_term=float("inf")))
+        with pytest.raises(DataError) as err:
+            run_pipeline(RunConfig(dataset="edge_level", seed=4,
+                                   edge_spec=DISJOINT_SPEC))
+        assert str(err.value) == "report contains a non-finite numeric value"
+        assert exit_code(monkeypatch, [
+            "pipeline", "--kind", "blobs", "--seed", "1", "--holdout", "10",
+            "--train-pool", "20", "--pairs", "100"]) == 3
 
 
 class TestRunPipeline:
