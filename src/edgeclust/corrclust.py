@@ -250,24 +250,24 @@ def dual_bound(c: np.ndarray, const: float, rows: CsrRows,
 
 def linprog(c: np.ndarray, A_ub: CsrRows, b_ub: np.ndarray, model,
             vertex: np.ndarray = None) -> LPResult:
-    """Solve min c.x s.t. A_ub x <= b_ub, 0 <= x <= 1 by HiGHS's simplex in
-    ``model``, a highs._Highs(). A model without columns first gets c's
-    columns, with output and presolve off; each call then appends the rows
-    of A_ub past the model's own and runs the dual simplex, so a later call
-    resumes from the last optimal basis with the new rows as basic slacks.
-    A call that loads an empty model's rows and is given a 0/1 ``vertex``
-    starts from it instead: each column nonbasic at the bound the vertex
-    puts it at, each row slack basic, solved by the primal simplex; the
-    model goes back to the dual simplex for later calls. A model with other
-    columns or more rows than A_ub is a model error. Returns success
-    (optimal), HiGHS's model status text as message and, on success, x,
-    slack = b_ub - A_ub x, nit (simplex iterations of this call) and
-    HiGHS's row duals, each <= 0 on a row this minimization presses against.
-    lp_relax calls it through this module global with A_ub by keyword, as
-    perfbench's tracer and the tests expect. The LP is feasible (x = 0) and
-    bounded, so presolve has nothing to detect; on sparsified graphs its
-    vertex tends to violate triangles not yet added, which costs another
-    round, and HiGHS does not presolve a model that has a basis anyway."""
+    """Solve min c.x s.t. A_ub x <= b_ub, 0 <= x <= 1 by HiGHS's dual
+    simplex in ``model``, a highs._Highs(). A model without columns first
+    gets c's columns, with output and presolve off; each call then appends
+    the rows of A_ub past the model's own and runs, so a later call resumes
+    from the last optimal basis with the new rows as basic slacks. The call
+    that fills an empty model's rows starts at a 0/1 ``vertex`` that puts a
+    zero-cost column at 1, as a dual feasible basis: row slacks basic, each
+    column with a cost at the bound it favours, as in HiGHS's own start, and
+    each zero-cost column at the vertex's value. Any other vertex is ignored:
+    that basis would be HiGHS's own start, up to costs below its 1e-7 dual
+    tolerance. A model with other columns or more rows than A_ub is a model
+    error. Returns success (optimal), HiGHS's model status text as message
+    and, on success, x, slack = b_ub - A_ub x, nit (simplex iterations of
+    this call) and HiGHS's row duals, each <= 0 on a row this minimization
+    presses against. lp_relax calls it through this module global with A_ub
+    by keyword, as perfbench's tracer and the tests expect. The LP is
+    feasible (x = 0) and bounded, so presolve has nothing to detect, and
+    HiGHS does not presolve a model that has a basis anyway."""
     m, n = A_ub.shape
     m0, nnz = model.getNumRow(), int(A_ub.indptr[-1])
     error = highs.HighsStatus.kError
@@ -285,21 +285,18 @@ def linprog(c: np.ndarray, A_ub: CsrRows, b_ub: np.ndarray, model,
             m - m0, np.full(m - m0, -highs.kHighsInf), b_ub[m0:], nnz - start,
             A_ub.indptr[m0:-1] - start, A_ub.indices[start:],
             A_ub.data[start:]) != error
-        primal = fed and vertex is not None and not m0
-        if primal:
+        if fed and not m0 and vertex is not None and vertex[c == 0].any():
             kind = highs.HighsBasisStatus
             basis = highs.HighsBasis()
-            basis.col_status = np.array([kind.kLower, kind.kUpper], dtype=object)[
-                vertex.astype(np.intp)].tolist()
+            upper = np.where(c == 0, vertex, c < 0).astype(np.intp)
+            basis.col_status = np.array([kind.kLower, kind.kUpper],
+                                        dtype=object)[upper].tolist()
             basis.row_status = [kind.kBasic] * m
             basis.valid = True
             fed = model.setBasis(basis) != error
-            model.setOptionValue("simplex_strategy", 4)  # primal
         if fed:
             solved = model.run() != error
             status = model.getModelStatus()
-        if primal:
-            model.setOptionValue("simplex_strategy", 1)  # dual, HiGHS's default
     message = model.modelStatusToString(status)
     if not solved or status != highs.HighsModelStatus.kOptimal:
         return LPResult(False, message)
@@ -319,13 +316,12 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     round adds a row for every triangle inequality the last optimum
     violates. Every round solves with all rows so far in one HiGHS model kept
     for the call: each later solve appends the new rows and resumes from the
-    last optimal basis. The first solve is HiGHS's cold dual simplex, except
-    where P cuts a zero-cost pair, which that slack start leaves at 0: there
-    it starts from P's metric as a vertex (linprog's ``vertex``). An optimum
-    equal to P's metric ends its round without a separation pass: a 0/1 cut
-    metric violates no triangle, so that round adds no row. A round
-    that adds none returns the last optimum, whose objective the row duals
-    of its solve must bound from below (dual_bound) to within _BOUND_GAP.
+    last optimal basis; the first starts at P's metric (linprog's
+    ``vertex``). An optimum equal to P's metric ends its round without a
+    separation pass: a 0/1 cut metric violates no triangle, so that round
+    adds no row. A round that adds none returns the last optimum, whose
+    objective the row duals of its solve must bound from below (dual_bound)
+    to within _BOUND_GAP.
     When P agrees with every kept edge, each pair with a cost sits at the
     bound its cost favours, so P's metric is an optimum and returns without
     a solve. Nodes off every kept edge sit at distance 1, so a graph without
@@ -353,11 +349,9 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
     start = x = (labels[iu[0]] != labels[iu[1]]).astype(float)  # P's metric
     flat = _seed_rows(signed, labels)  # a metric violates no triangle
     # the start is an optimum where each pair with a cost sits at the bound
-    # that cost favours; the dual simplex starts every pair at 0, so a start
-    # that cuts a zero-cost pair goes to HiGHS as the vertex to start from
+    # that cost favours
     paid = c != 0
     optimal = np.array_equal(x[paid], c[paid] < 0)
-    vertex = x if x[~paid].any() else None
     xm = np.where(var >= 0, x[var], 0.0)
     added = np.empty(0, dtype=np.intp)  # flat triangle ids, one row each
     rows, duals = _triangle_rows(added, var, nvars), np.empty(0)
@@ -378,10 +372,10 @@ def lp_relax(g: SignedWeightedGraph) -> FractionalMetric:
         added, optimal = np.concatenate([added, flat]), True
         rows = _triangle_rows(added, var, nvars)
         res = linprog(c, A_ub=rows, b_ub=np.zeros(added.size), model=model,
-                      vertex=vertex)
+                      vertex=start)
         if not res.success:
             raise SolverError(f"LP solve failed: {res.message}")
-        x, duals, vertex = res.x, res.row_dual, None
+        x, duals = res.x, res.row_dual
         x[x < _SNAP] = 0.0
         x[x > 1.0 - _SNAP] = 1.0
         xm = np.where(var >= 0, x[var], 0.0)

@@ -79,11 +79,13 @@ def round_lps(run, *args):
     """(c, A_ub, b_ub, result, warm) of every corrclust.linprog call that
     run(*args) makes, with x copied before lp_relax snaps it in place; warm
     tells a call that does not start from HiGHS's slack basis: its model
-    already held a previous call's rows, or it was given a vertex."""
+    already held a previous call's rows, or linprog loads its vertex as a
+    basis, which it does when the vertex puts a zero-cost column at 1."""
     calls, entry = [], corrclust.linprog
 
     def recorded(c, A_ub, b_ub, model, vertex=None):
-        warm = model.getNumRow() > 0 or vertex is not None
+        warm = model.getNumRow() > 0 or (vertex is not None
+                                         and vertex[c == 0].any())
         res = entry(c, A_ub=A_ub, b_ub=b_ub, model=model, vertex=vertex)
         calls.append((c, A_ub, b_ub, res._replace(x=res.x.copy()), warm))
         return res
@@ -688,6 +690,36 @@ class TestHighsEntry:
         res = corrclust.linprog(c, A_ub=rows, b_ub=b_ub,
                                 model=corrclust.highs._Highs(), vertex=vertex)
         assert_entry_matches_scipy([(c, rows, b_ub, res, True)])
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_vertex_on_complete_graph_keeps_highs_start(self, data):
+        # every pair kept, so no column is free of cost and no vertex is
+        # loaded: HiGHS's own start differs from "c < 0 at the upper bound"
+        # on costs below its dual tolerance (pair (0, 1) always has one),
+        # and any clustering's metric must leave the solve bit for bit as
+        # it is without one
+        n = data.draw(st.integers(3, 6))
+        tiny = st.one_of(st.sampled_from([1e-9, 1e-8]),
+                         st.floats(1e-12, HIGHS_TOL, exclude_max=True))
+        cost = st.one_of(tiny, st.floats(1e-6, 10.0))
+        edges = [(i, j, data.draw(st.sampled_from([-1, 1])),
+                  data.draw(tiny if not i and j == 1 else cost))
+                 for i in range(n) for j in range(i + 1, n)]
+        labels = np.array(data.draw(st.lists(st.integers(1, 4), min_size=n,
+                                             max_size=n)))
+        c, _, rows = full_lp(make_graph(n, edges))
+        iu = np.triu_indices(n, k=1)
+        vertex = (labels[iu[0]] != labels[iu[1]]).astype(float)
+        b_ub = np.zeros(rows.shape[0])
+        want, got = (corrclust.linprog(c, A_ub=rows, b_ub=b_ub,
+                                       model=corrclust.highs._Highs(), vertex=v)
+                     for v in (None, vertex))
+        assert want.success and got.success
+        assert np.array_equal(got.x, want.x)
+        assert np.array_equal(got.slack, want.slack)
+        assert got.nit == want.nit
+        assert np.array_equal(got.row_dual, want.row_dual)
 
     def test_infeasible_lp_reports_status(self):
         res = corrclust.linprog(np.array([1.0]),

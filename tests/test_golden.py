@@ -17,13 +17,16 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from edgeclust import corrclust, pipeline
 from edgeclust.cli import cli
+from edgeclust.core import validate_partition
 from edgeclust.pipeline import RunConfig, run_pipeline
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -154,6 +157,41 @@ def workdir(tmp_path):
 def test_report_matches_golden(name, workdir):
     want = json.loads((GOLDEN / "reports.json").read_text())[name]
     _assert_close(_report(name, workdir), want, name)
+
+
+def _assert_sandwich(cert, upper=True):
+    """lp_lower_bound <= rounded_cost and, when ``upper``, rounded_cost <=
+    bound_rhs, each to the file's tolerance."""
+    def at_most(a, b):
+        return a <= b or math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+
+    assert at_most(cert["lp_lower_bound"], cert["rounded_cost"]), cert
+    assert not upper or at_most(cert["rounded_cost"], cert["bound_rhs"]), cert
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_report_keeps_sandwich(name, workdir, monkeypatch):
+    """An LP report's certificate holds the whole sandwich. A pivot or
+    oracle partition holds its lower side under corrclust.certify; the
+    upper side is a region-growing guarantee only."""
+    want = json.loads((GOLDEN / "reports.json").read_text())[name]
+    if want["certificate"] is not None:
+        _assert_sandwich(want["certificate"])
+        return
+    graphs, cluster = [], pipeline.cluster_graph
+    monkeypatch.setattr(pipeline, "cluster_graph", lambda g, algo, rng: (
+        graphs.append(g), cluster(g, algo, rng))[1])
+    _report(name, workdir)
+    part = validate_partition(np.array(want["labels"]))
+    _assert_sandwich(asdict(corrclust.certify(graphs[0], part)), upper=False)
+
+
+def test_golden_chain_keeps_sandwich():
+    """cert.json certifies the chain's LP partition, certify.json its pivot
+    partition."""
+    _assert_sandwich(json.loads((GOLDEN / "chain" / "cert.json").read_text()))
+    _assert_sandwich(json.loads((GOLDEN / "chain" / "certify.json").read_text()),
+                     upper=False)
 
 
 def test_report_independent_of_blas_threads():

@@ -628,6 +628,86 @@ class TestCli:
             "cluster", "--graph", str(graph),
             "--out", str(tmp_path / "labels.txt")]) == 4
 
+    def _bad_inputs(self, tmp_path):
+        """Write data.csv, pairs.csv and the malformed inputs that
+        test_more_exit_codes names into tmp_path."""
+        runner = CliRunner()
+        data = self._gen(runner, tmp_path)
+        res = runner.invoke(cli, ["pairs", "--data", str(data), "--pairs",
+                                  "100", "--seed", "2",
+                                  "--out", str(tmp_path / "pairs.csv")])
+        assert res.exit_code == 0, res.output
+        rows = [line.split(",") for line in data.read_text().splitlines()]
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "labels_only.csv").write_text(
+            "".join(f"{row[-1]}\n" for row in rows))
+        (tmp_path / "one_dim.csv").write_text(
+            "".join(f"{row[0]},{row[-1]}\n" for row in rows))
+        (tmp_path / "five_rows.csv").write_text(
+            "".join(",".join(row) + "\n" for row in rows[:5]))
+        p1 = DISJOINT_SPEC["p1"]
+        for name, bad in [
+                ("list_p1", [p1]), ("beta", {"kind": "beta"}),
+                ("no_components", {"kind": "mixture", "components": []}),
+                ("mixed_dims", {"kind": "mixture", "components": [
+                    p1, {"kind": "gaussian", "mean": [0.0, 0.0],
+                         "sigma": [1.0, 1.0]}]}),
+                ("sigma_object", {"kind": "gaussian", "mean": [0.0],
+                                  "sigma": {"x": 1.0}})]:
+            (tmp_path / f"{name}.json").write_text(
+                json.dumps(dict(DISJOINT_SPEC, p1=bad)))
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["fit", "--data", "{d}/data.csv", "--pairs-file", "{d}/pairs.csv",
+          "--pca", "abc", "--out", "{d}/model.npz"], 2, "--pca expects"),
+        (["fit", "--data", "{d}/data.csv", "--pairs-file", "{d}/empty.csv",
+          "--out", "{d}/model.npz"], 3, "no pairs"),
+        (["baseline", "--data", "{d}/labels_only.csv", "--method", "kmeans",
+          "--k", "2", "--seed", "1", "--out", "{d}/base.txt"], 3,
+         "at least one feature column"),
+        (["plot", "--data", "{d}/one_dim.csv", "--out", "{d}/plot.svg"], 3,
+         "at least 2 feature dimensions"),
+        (["pipeline", "--kind", "blobs", "--seed", "1", "--pairs", "0"], 2,
+         "at least one training pair"),
+        (["pipeline", "--kind", "blobs", "--seed", "1", "--holdout", "1"], 2,
+         "at least two hold-out samples"),
+        *((["pipeline", "--edge-spec", "{d}/" + name + ".json", "--seed", "1"],
+           2, message) for name, message in [
+              ("list_p1", "must be a dict with a 'kind'"),
+              ("beta", "unknown density kind 'beta'"),
+              ("no_components", "at least one component"),
+              ("mixed_dims", "must share a dimension"),
+              ("sigma_object", "gaussian density spec")]),
+        (["pipeline", "--data", "{d}/five_rows.csv", "--seed", "1",
+          "--holdout", "4"], 3, "dataset too small"),
+        (["pipeline", "--kind", "crossbones", "--seed", "1", "--holdout", "5",
+          "--train-pool", "3", "--pairs", "10"], 3,
+         "[fit] need >= 2 same-cluster"),
+    ])
+    def test_more_exit_codes(self, tmp_path, monkeypatch, capsys, args, code,
+                             message):
+        self._bad_inputs(tmp_path)
+        capsys.readouterr()
+        assert exit_code(monkeypatch, [a.format(d=tmp_path) for a in args]) == code
+        assert message in capsys.readouterr().err
+
+    def test_eval_truth_from_labels_file(self, tmp_path):
+        # a truth labels file scores as the labeled CSV it came from does
+        runner = CliRunner()
+        data = self._gen(runner, tmp_path)
+        truth, pred = tmp_path / "truth.txt", tmp_path / "pred.txt"
+        truth.write_text("".join(line.rsplit(",", 1)[1] + "\n"
+                                 for line in data.read_text().splitlines()))
+        pred.write_text("".join(f"{t % 3 + 1}\n" for t in range(40)))
+        outputs = []
+        for given in (truth, data):
+            res = runner.invoke(cli, ["eval", "--pred", str(pred),
+                                      "--truth", str(given)])
+            assert res.exit_code == 0, res.output
+            outputs.append(res.output)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["k_predicted"] == 3
+
     @pytest.mark.parametrize("command, bad", [
         ("eval", "labels"), ("certify", "labels"), ("fit", "pairs"),
         ("cluster", "graph"), ("certify", "graph"),
