@@ -114,7 +114,7 @@ def graph(data, model, sparsify, has_labels, out):
     s = load_csv(data, has_labels=has_labels)
     m = load_model(model)
     feats = m.project(build_edge_features(s, all_pairs(s.n), m.similarity))
-    g = build_signed_graph(feats, m.p1, m.p0, sparsify_below=sparsify, n=s.n)
+    g = build_signed_graph(feats, m.p1, m.p0, sparsify_below=sparsify)
     write_graph_tsv(g, out)
 
 
@@ -122,13 +122,12 @@ def graph(data, model, sparsify, has_labels, out):
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
 @click.option("--algo", type=_ALGORITHMS, default=RunConfig.algo)
 @click.option("--seed", type=_SEED, default=0)
-@click.option("--n", type=int, default=None, help="node count override")
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--certificate", type=click.Path(), default=None)
-def cluster(graph_path, algo, seed, n, out, certificate):
+def cluster(graph_path, algo, seed, out, certificate):
     """Cluster a signed graph and write one label per node, and optionally
     the certificate of those labels (the one ``certify`` gives)."""
-    g = read_graph_tsv(graph_path, n=n)
+    g = read_graph_tsv(graph_path)
     part, cert = cluster_graph(g, algo, np.random.default_rng(seed))
     if certificate:
         if cert is None:
@@ -174,11 +173,10 @@ def eval_cmd(pred, truth, out):
 @cli.command()
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
 @click.option("--labels", type=click.Path(exists=True), required=True)
-@click.option("--n", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None)
-def certify(graph_path, labels, n, out):
+def certify(graph_path, labels, out):
     """LP lower bound and disagreement cost of a given labeling."""
-    g = read_graph_tsv(graph_path, n=n)
+    g = read_graph_tsv(graph_path)
     part = validate_partition(_read_labels(labels))
     _emit(asdict(corrclust.certify(g, part)), out)
 
@@ -230,6 +228,9 @@ def pipeline(kind, data, edge_spec, pca, out, **fields):
             except ValueError as exc:
                 raise ConfigError(f"{edge_spec}: invalid JSON: {exc}") from None
         dataset = "edge_level"
+    elif data in (*SYNTHETIC_KINDS, "edge_level"):
+        raise ConfigError(f"--data {data} names a dataset kind, not a file; "
+                          f"write ./{data} to read the file")
     else:
         dataset = kind if kind is not None else data
     cfg = RunConfig(dataset=dataset, pca=_parse_pca(pca),

@@ -180,16 +180,15 @@ def save_labeled_pairs(pairs: np.ndarray, same: np.ndarray, path) -> None:
     write_lines(path, (f"{i},{j},{int(s)}" for (i, j), s in zip(pairs, same)))
 
 
-def _flag(cell: str) -> bool:
-    value = int(cell)
-    if value not in (0, 1):
-        raise ValueError(cell)
-    return value == 1
-
-
 def load_labeled_pairs(path):
-    i, j, same = parse_lines(path, read_lines(path, ","),
-                             (np.int64, np.int64, _flag))
+    """(pairs, same) from save_labeled_pairs' lines; same must be 0 or 1."""
+    lines = read_lines(path, ",")
+    i, j, same = parse_lines(path, lines, (np.int64,) * 3)
     if not len(same):
         raise DataError(f"{path}: no pairs")
-    return np.column_stack([i, j]), same
+    bad = np.flatnonzero((same != 0) & (same != 1))
+    if len(bad):
+        lineno, fields = lines[bad[0]]
+        raise DataError(f"{path}:{lineno}: column 3: cannot read "
+                        f"{fields[2].strip()!r}")
+    return np.column_stack([i, j]), same == 1

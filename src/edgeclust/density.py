@@ -124,11 +124,11 @@ class SignedWeightedGraph:
     the pairs sparsified away (zero or below-threshold cost). With n None the
     node count is one past the largest node id in any pair."""
 
-    n: Optional[int]
     pairs: np.ndarray    # (m, 2) int, kept edges
     signs: np.ndarray    # (m,) in {+1, -1}
     costs: np.ndarray    # (m,) finite, >= 0
     dropped: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=int))
+    n: Optional[int] = None
 
     def __post_init__(self):
         pairs = np.asarray(self.pairs, dtype=int).reshape(-1, 2)
@@ -175,8 +175,7 @@ def check_sparsify(threshold: float) -> None:
 
 
 def build_signed_graph(features: EdgeFeatureSet, p1, p0,
-                       sparsify_below: float = 0.0,
-                       n: int = None) -> SignedWeightedGraph:
+                       sparsify_below: float = 0.0) -> SignedWeightedGraph:
     """Label every pair by the sign of its log-odds log(P1(e)/P0(e)), clamped
     to +-50, and weight it by the absolute log-odds; pairs at or below the
     sparsification threshold (including exact ties P1 = P0) are dropped. A
@@ -192,7 +191,6 @@ def build_signed_graph(features: EdgeFeatureSet, p1, p0,
     signs = np.sign(r).astype(int)
     keep = costs > sparsify_below
     return SignedWeightedGraph(
-        n=n,
         pairs=features.pairs[keep],
         signs=signs[keep],
         costs=costs[keep],
@@ -208,9 +206,9 @@ def write_graph_tsv(g: SignedWeightedGraph, path) -> None:
                             (f"{i}\t{j}\t0\t0" for i, j in g.dropped)))
 
 
-def read_graph_tsv(path, n: int = None) -> SignedWeightedGraph:
+def read_graph_tsv(path) -> SignedWeightedGraph:
     """Read write_graph_tsv's lines; a sign-0 row is a dropped pair and must
-    have cost 0."""
+    have cost 0. The node count is one past the largest id listed."""
     lines = read_lines(path, "\t")
     i, j, signs, costs = parse_lines(path, lines, (np.int64, np.int64, np.int64, float))
     dropped = signs == 0
@@ -218,5 +216,5 @@ def read_graph_tsv(path, n: int = None) -> SignedWeightedGraph:
     if len(bad):
         raise DataError(f"{path}:{lines[bad[0]][0]}: dropped pair (sign 0) with a cost")
     pairs = np.column_stack([i, j])
-    return SignedWeightedGraph(n=n, pairs=pairs[~dropped], signs=signs[~dropped],
+    return SignedWeightedGraph(pairs=pairs[~dropped], signs=signs[~dropped],
                                costs=costs[~dropped], dropped=pairs[dropped])

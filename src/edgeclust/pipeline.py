@@ -79,6 +79,8 @@ class RunConfig:
                                {"sizes", "p1", "p0"} <= set(self.edge_spec)):
             raise ConfigError("edge_level dataset needs an edge_spec object "
                               "with sizes, p1 and p0")
+        if edge_level and self.baselines:
+            raise ConfigError("baselines need node features; edge_level has none")
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,7 @@ def _edge_level_pairs(features: EdgeFeatureSet, truth, m: int,
 def _scores(cfg: RunConfig, partition, truth, holdout_set,
             rng: np.random.Generator) -> dict:
     scores = {"structured": asdict(score(partition, truth))}
-    if cfg.baselines and holdout_set is not None:
+    if cfg.baselines:
         k = cfg.k if cfg.k is not None else truth.k
         scores["kmeans"] = asdict(score(kmeans(holdout_set, k, rng), truth))
         scores["spectral"] = asdict(score(spectral(
@@ -285,7 +287,7 @@ def run_pipeline(cfg: RunConfig) -> ResultsReport:
     def graph_stage():  # the likelihood stage reuses these log-densities
         logs = [log_density(p, features) for p in (model.p1, model.p0)]
         return logs, build_signed_graph(features, *logs,
-                                        sparsify_below=cfg.sparsify, n=truth.n)
+                                        sparsify_below=cfg.sparsify)
     logs, graph = _stage("graph", timing, graph_stage)
     partition, certificate = _stage(
         "solve", timing, lambda: cluster_graph(graph, cfg.algo, rng))

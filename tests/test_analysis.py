@@ -82,7 +82,7 @@ class TestLogLikelihood:
     def test_theorem1_certificate_bound(self):
         # l(theta_hat) >= l(G0) - c1*ln(n+1)*DIS_opt with the exact oracle
         p1, p0, feats, _ = _kde_instance(11, n=6)
-        g = build_signed_graph(feats, p1, p0, n=6)
+        g = build_signed_graph(feats, p1, p0)
         part, opt = brute_force_optimum(g)
         rep = log_likelihood(part, feats, p1, p0)
         bound = rep.log_likelihood_g0 - c1_constant(6) * math.log(7) * opt
@@ -94,6 +94,20 @@ class TestLogLikelihood:
                                vectors=np.array([[0.5]]))
         with pytest.raises(DataError):
             log_likelihood(validate_partition([1, 1]), feats, p1, p1)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda p, rng: log_likelihood(
+        validate_partition([1, 1]),
+        EdgeFeatureSet(pairs=np.empty((0, 2), dtype=int),
+                       vectors=np.empty((0, 1))), p, p), "no pairs"),
+    (lambda p, rng: expected_dis(p, p, n1=-1, n0=1, samples=1000, rng=rng),
+     "pair counts must be nonnegative"),
+])
+def test_estimator_rejections(call, match, rng):
+    p = UniformBoxDensity(low=[0.0], high=[1.0])
+    with pytest.raises(DataError, match=match):
+        call(p, rng)
 
 
 class TestEmpiricalDis:

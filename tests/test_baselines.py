@@ -38,6 +38,12 @@ class TestKmeans:
         with pytest.raises((ConfigError, DataError)):
             kmeans(s, 5, rng)
 
+    def test_identical_rows_give_one_cluster(self, rng):
+        # k-means++ draws its second center with every distance 0, and Lloyd
+        # reseeds the cluster that no row joins
+        p = kmeans(SampleSet(features=np.ones((6, 2))), 2, rng)
+        assert p.labels.tolist() == [1] * 6
+
     def test_seed_determinism(self, rng):
         s = _blobs(rng, spread=2.0)
         a = kmeans(s, 3, np.random.default_rng(4))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from edgeclust.core import (Partition, SampleSet, co_membership,
                             has_duplicate_pairs, nmi, parse_lines, read_lines,
                             score, validate_partition, write_lines)
-from edgeclust.datagen import _flag
 from edgeclust.errors import DataError
 
 labels_arrays = st.lists(st.integers(min_value=-5, max_value=5),
@@ -83,24 +82,24 @@ class TestTextFiles:
         # the column casts give the values, dtypes and first error (in file
         # order) that casting each cell in turn gives
         lines = [(2 * k + 1, fields) for k, fields in enumerate(rows)]
-        for casts in ((np.int64, float, np.int64), (np.int64, np.int64, _flag)):
-            want = got = None
-            try:
-                want = parse_lines_cell_by_cell("f", lines, casts)
-            except DataError as err:
-                want = str(err)
-            try:
-                got = parse_lines("f", lines, casts)
-            except DataError as err:
-                got = str(err)
-            if isinstance(want, str):
-                assert got == want
-                continue
-            for g, w in zip(got, want, strict=True):
-                assert g.tolist() == w.tolist() or np.isnan(w).any()
-                assert np.array_equal(g, w, equal_nan=w.dtype.kind == "f")
-                # an empty column used to come out as float64
-                assert g.dtype == w.dtype or not lines
+        casts = (np.int64, float, np.int64)
+        want = got = None
+        try:
+            want = parse_lines_cell_by_cell("f", lines, casts)
+        except DataError as err:
+            want = str(err)
+        try:
+            got = parse_lines("f", lines, casts)
+        except DataError as err:
+            got = str(err)
+        if isinstance(want, str):
+            assert got == want
+            return
+        for g, w in zip(got, want, strict=True):
+            assert g.tolist() == w.tolist() or np.isnan(w).any()
+            assert np.array_equal(g, w, equal_nan=w.dtype.kind == "f")
+            # an empty column used to come out as float64
+            assert g.dtype == w.dtype or not lines
 
     def test_non_utf8_rejected(self, tmp_path):
         path = tmp_path / "rows.tsv"
@@ -118,6 +117,18 @@ class TestSampleSetLabels:
     def test_labels_kept_in_any_order(self):
         s = SampleSet(features=np.zeros((3, 1)), labels=[2, 1, 2])
         assert s.labels.tolist() == [2, 1, 2]
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: SampleSet(features=np.zeros((0, 2))), "nonempty 2-D matrix"),
+    (lambda: SampleSet(features=np.zeros((3, 1)), labels=[1, 1]),
+     "labels length must match"),
+    (lambda: Partition(labels=np.array([], dtype=int), k=0),
+     "nonempty vector"),
+])
+def test_record_rejections(build, match):
+    with pytest.raises(DataError, match=match):
+        build()
 
 
 class TestValidatePartition:

@@ -203,8 +203,14 @@ class TestLabeledPairFiles:
 
     def test_bad_flag_rejected(self, tmp_path):
         path = tmp_path / "pairs.csv"
-        path.write_text("0,1,2\n")
-        with pytest.raises(DataError):
+        path.write_text("0,1,1\n\n0,2,2\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}:3: column 3: cannot read '2'")):
+            load_labeled_pairs(path)
+        # the flag is checked after every cell parses
+        path.write_text("0,1,2\n0,x,1\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}:2: column 2: cannot read 'x'")):
             load_labeled_pairs(path)
 
     def test_malformed_rejected(self, tmp_path):

@@ -476,6 +476,18 @@ class TestBuildSignedGraph:
                            vectors=np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: kde_fit(np.zeros(5)), "2-D matrix"),
+    (lambda: SignedWeightedGraph(pairs=[[0, 1]], signs=[1, -1], costs=[1.0]),
+     "must align"),
+    (lambda: SignedWeightedGraph(pairs=np.empty((0, 2)), signs=[], costs=[],
+                                 n=-1), "node count must be >= 0, got -1"),
+])
+def test_fit_and_graph_rejections(build, match):
+    with pytest.raises(DataError, match=match):
+        build()
+
+
 class TestGraphValidationAndTsv:
     def test_negative_cost_rejected(self):
         with pytest.raises(DataError):
@@ -495,7 +507,7 @@ class TestGraphValidationAndTsv:
         write_graph_tsv(g, path)
         lines = path.read_text().splitlines()
         assert lines[0].split("\t")[:3] == ["0", "1", "+1"]
-        back = read_graph_tsv(path, n=5)
+        back = read_graph_tsv(path)
         assert back.n == 5
         assert np.array_equal(back.pairs, g.pairs)
         assert np.array_equal(back.signs, g.signs)
@@ -524,15 +536,13 @@ class TestGraphValidationAndTsv:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "g.tsv"
             write_graph_tsv(g, path)
-            back = read_graph_tsv(path, n=n)
-            inferred = read_graph_tsv(path)
-        assert back.n == n
+            back = read_graph_tsv(path)
         assert np.array_equal(back.pairs, g.pairs)
         assert np.array_equal(back.signs, g.signs)
         assert np.array_equal(back.costs, g.costs)
         assert np.array_equal(back.dropped, g.dropped)
         listed = np.vstack([pairs, dropped])
-        assert inferred.n == (int(listed.max()) + 1 if len(listed) else 0)
+        assert back.n == (int(listed.max()) + 1 if len(listed) else 0)
 
     def test_tsv_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"

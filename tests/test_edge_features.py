@@ -184,6 +184,11 @@ class TestPca:
         with pytest.raises(ConfigError):
             pca_fit(rng.normal(size=(5, 2)), 0.0)
 
+    def test_transform_dimension_mismatch_rejected(self, rng):
+        model = pca_fit(rng.normal(size=(5, 2)), 1.0)
+        with pytest.raises(DataError, match="dimension mismatch"):
+            pca_transform(model, np.zeros((4, 3)))
+
 
 def test_all_pairs_count():
     p = all_pairs(5)

@@ -68,15 +68,14 @@ CHAIN = [
     ("graph.tsv", ["graph", "--data", "{d}/data.csv", "--model",
                    "{d}/model.npz", "--sparsify", "0.1",
                    "--out", "{d}/graph.tsv"]),
-    ("lp.txt", ["cluster", "--graph", "{d}/graph.tsv", "--n", "10", "--algo",
-                "lp", "--out", "{d}/lp.txt", "--certificate", "{d}/cert.json"]),
-    ("pivot.txt", ["cluster", "--graph", "{d}/graph.tsv", "--n", "10",
-                   "--algo", "pivot", "--seed", "3", "--out", "{d}/pivot.txt"]),
-    ("oracle.txt", ["cluster", "--graph", "{d}/graph.tsv", "--n", "10",
-                    "--algo", "oracle", "--out", "{d}/oracle.txt"]),
-    ("certify.json", ["certify", "--graph", "{d}/graph.tsv", "--n", "10",
-                      "--labels", "{d}/pivot.txt", "--out",
-                      "{d}/certify.json"]),
+    ("lp.txt", ["cluster", "--graph", "{d}/graph.tsv", "--algo", "lp",
+                "--out", "{d}/lp.txt", "--certificate", "{d}/cert.json"]),
+    ("pivot.txt", ["cluster", "--graph", "{d}/graph.tsv", "--algo", "pivot",
+                   "--seed", "3", "--out", "{d}/pivot.txt"]),
+    ("oracle.txt", ["cluster", "--graph", "{d}/graph.tsv", "--algo", "oracle",
+                    "--out", "{d}/oracle.txt"]),
+    ("certify.json", ["certify", "--graph", "{d}/graph.tsv", "--labels",
+                      "{d}/pivot.txt", "--out", "{d}/certify.json"]),
 ]
 CHAIN_FILES = [name for name, _ in CHAIN] + ["cert.json"]
 

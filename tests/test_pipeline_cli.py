@@ -299,55 +299,40 @@ class TestCli:
         assert out["lp_lower_bound"] == pytest.approx(1.0, abs=1e-6)
 
     def test_certify_empty_graph_matches_cluster(self, tmp_path):
+        # three nodes, every pair dropped: no kept edge
         runner = CliRunner()
         graph = tmp_path / "empty.tsv"
-        graph.write_text("")
+        graph.write_text("0\t1\t0\t0\n0\t2\t0\t0\n1\t2\t0\t0\n")
         labels = tmp_path / "labels.txt"
         cert = tmp_path / "cert.json"
-        res = runner.invoke(cli, ["cluster", "--graph", str(graph), "--n", "3",
+        res = runner.invoke(cli, ["cluster", "--graph", str(graph),
                                   "--out", str(labels),
                                   "--certificate", str(cert)])
         assert res.exit_code == 0, res.output
-        res = runner.invoke(cli, ["certify", "--graph", str(graph), "--n", "3",
+        assert labels.read_text() == "1\n2\n3\n"
+        res = runner.invoke(cli, ["certify", "--graph", str(graph),
                                   "--labels", str(labels)])
         assert res.exit_code == 0, res.output
         out = json.loads(res.output)
         assert out == json.loads(cert.read_text())
         assert out["lp_lower_bound"] == out["rounded_cost"] == 0.0
 
-    def test_negative_node_count_is_data_error(self, tmp_path, monkeypatch):
-        graph = tmp_path / "empty.tsv"
-        graph.write_text("")
-        labels = tmp_path / "labels.txt"
-        labels.write_text("1\n")
-        for algo in ("lp", "pivot"):
-            assert exit_code(monkeypatch, [
-                "cluster", "--graph", str(graph), "--n", "-5", "--algo", algo,
-                "--out", str(tmp_path / "out.txt")]) == 3
-        assert exit_code(monkeypatch, [
-            "certify", "--graph", str(graph), "--labels", str(labels),
-            "--n", "-5"]) == 3
-
     def test_huge_node_count_is_data_error(self, tmp_path):
         """A node count whose n x n matrix cannot be allocated exits 3 with
         a message naming n, in a process limited to 2 GB of address space:
-        a graph file naming node 10^9, an --n of 10^9 or beyond int64, and
-        certify on 20,000 nodes (a 3.2 GB metric)."""
+        a graph file naming node 10^9, and certify on a file whose sign-0
+        row names node 19,999 (a 3.2 GB metric over 20,000 nodes)."""
         far = tmp_path / "far.tsv"
         far.write_text("0\t1000000000\t+1\t1\n0\t1\t-1\t1\n")
-        one = tmp_path / "one.tsv"
-        one.write_text("0\t1\t+1\t1\n")
+        wide = tmp_path / "wide.tsv"
+        wide.write_text("0\t1\t+1\t1\n0\t19999\t0\t0\n")
         labels = tmp_path / "labels.txt"
         labels.write_text("1\n" * 20000)
         out = str(tmp_path / "out.txt")
         runs = [(["cluster", "--graph", str(far), "--algo", algo, "--out", out],
                  "1000000001") for algo in ("pivot", "lp")]
-        runs += [(["cluster", "--graph", str(one), "--algo", algo, "--n", n,
-                   "--out", out], n)
-                 for algo in ("pivot", "lp")
-                 for n in ("1000000000", "100000000000000000000")]
-        runs += [(["certify", "--graph", str(one), "--labels", str(labels),
-                   "--n", "20000"], "20000")]
+        runs += [(["certify", "--graph", str(wide), "--labels", str(labels)],
+                  "20000")]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         for args, n in runs:
             proc = subprocess.run([sys.executable, "-c", MAIN_IN_2GB, *args],
@@ -645,6 +630,7 @@ class TestCli:
             "".join(f"{row[0]},{row[-1]}\n" for row in rows))
         (tmp_path / "five_rows.csv").write_text(
             "".join(",".join(row) + "\n" for row in rows[:5]))
+        (tmp_path / "spec.json").write_text(json.dumps(DISJOINT_SPEC))
         p1 = DISJOINT_SPEC["p1"]
         for name, bad in [
                 ("list_p1", [p1]), ("beta", {"kind": "beta"}),
@@ -683,6 +669,8 @@ class TestCli:
         (["pipeline", "--kind", "crossbones", "--seed", "1", "--holdout", "5",
           "--train-pool", "3", "--pairs", "10"], 3,
          "[fit] need >= 2 same-cluster"),
+        (["pipeline", "--edge-spec", "{d}/spec.json", "--seed", "1",
+          "--baselines"], 2, "baselines need node features"),
     ])
     def test_more_exit_codes(self, tmp_path, monkeypatch, capsys, args, code,
                              message):
@@ -690,6 +678,23 @@ class TestCli:
         capsys.readouterr()
         assert exit_code(monkeypatch, [a.format(d=tmp_path) for a in args]) == code
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["grid", "edge_level"])
+    def test_data_named_like_a_kind_is_config_error(self, tmp_path, monkeypatch,
+                                                    capsys, name):
+        # a CSV saved as ./grid is not the synthetic grid generator
+        os.replace(self._gen(CliRunner(), tmp_path), tmp_path / name)
+        monkeypatch.chdir(tmp_path)
+        args = ["pipeline", "--seed", "1", "--holdout", "10", "--train-pool",
+                "20", "--pairs", "100", "--algo", "pivot"]
+        capsys.readouterr()
+        assert exit_code(monkeypatch, [*args, "--data", name]) == 2
+        assert f"write ./{name} to read the file" in capsys.readouterr().err
+        assert exit_code(monkeypatch, [*args, "--data", f"./{name}",
+                                       "--out", "report.json"]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["dataset"] == f"./{name}"
+        assert report["k_predicted"] == 2
 
     def test_eval_truth_from_labels_file(self, tmp_path):
         # a truth labels file scores as the labeled CSV it came from does
